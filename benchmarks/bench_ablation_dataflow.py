@@ -1,7 +1,7 @@
 """Ablation -- accelerator dataflow and pipelining design choices.
 
-Not a paper figure: these sweeps quantify the design decisions DESIGN.md
-calls out in the controller.
+Not a paper figure: these sweeps quantify design decisions of the
+accelerator controller (``repro.accel.controller``).
 
 * **A-panel reuse**: the MatrixFlow streaming dataflow (implied by the
   paper's Table IV translation counts) refetches the A panel for every

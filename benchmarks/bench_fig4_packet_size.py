@@ -61,8 +61,9 @@ def test_fig4_packet_size_sweep(benchmark, repro_mode):
 
     # Shape assertions: convexity (both extremes lose) on most links and
     # an interior optimum on the paper's headline 8 GB/s link.  Our
-    # low-speed optimum sits a few doublings right of the paper's 256 B
-    # (EXPERIMENTS.md); the fastest link matches 256 B exactly.
+    # low-speed optimum sits a few doublings right of the paper's 256 B,
+    # so the 8 GB/s check accepts a band; the fastest link matches 256 B
+    # exactly.
     assert convex_links >= 3, "packet-size curve not convex"
     series8 = {p: results[(8, p)].ticks for p in PACKETS}
     best8 = min(series8, key=series8.get)

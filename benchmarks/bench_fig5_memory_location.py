@@ -7,7 +7,7 @@ type; the fast-PCIe host config reaches roughly 78% of device-side
 performance; the device-vs-host gap is largest for the high-bandwidth
 memories (HBM/GDDR).
 
-Methodology notes (EXPERIMENTS.md): host-side runs use the DM access
+Methodology notes: host-side runs use the DM access
 method so that reduced-scale LLC retention does not mask the memory
 system, and the systolic array is configured with a wide ingest port so
 the memory system is the binding constraint, as in the paper's setup.

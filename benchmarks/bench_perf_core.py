@@ -45,7 +45,7 @@ from repro.core.runner import (  # noqa: E402
     run_multi_gemm,
     run_peer_transfer,
 )
-from repro.sim.eventq import ParallelSimulator, Simulator  # noqa: E402
+from repro.sim.eventq import Simulator  # noqa: E402
 from repro.sweep import build_sweep, run_sweep  # noqa: E402
 
 DEFAULT_JSON = REPO_ROOT / "BENCH_core.json"
@@ -236,77 +236,6 @@ def bench_p2p_transfer(size_bytes: int) -> float:
     return _best_of(run)[0]
 
 
-def bench_pdes_point(size: int, domains: int = 4) -> float:
-    """One warm multi-device point under intra-point PDES.
-
-    Same workload as :func:`bench_multigemm_point` scaled to four
-    endpoints, but simulated on a :class:`ParallelSimulator` with one
-    event domain per endpoint subtree (docs/PARALLEL.md).  The delta
-    against the classic path is the price of domain-partitioned
-    execution on a real system model.
-    """
-    config = SystemConfig.pcie_2gb(num_accelerators=domains).with_domains(
-        domains
-    )
-    run_multi_gemm(config, size, size, size)  # warm the system memo
-
-    def run():
-        t0 = time.perf_counter()
-        run_multi_gemm(config, size, size, size)
-        t1 = time.perf_counter()
-        return t1 - t0, t1 - t0
-
-    return _best_of(run)[0]
-
-
-def bench_pdes_sync_overhead(total_events: int, domains: int = 4) -> float:
-    """Domain-sync overhead: parallel minus classic loop time.
-
-    Runs the same self-rescheduling event trains once on a classic
-    :class:`Simulator` and once on a :class:`ParallelSimulator` whose
-    trains are spread across ``domains`` event domains (quantum 1, so
-    every distinct tick is its own lockstep round).  The difference is
-    the pure cost of the quantum barrier plus the K-way head scan --
-    the overhead budget that intra-point PDES must amortize.
-
-    A difference of two timings amplifies machine noise, so instead of
-    subtracting independent best-ofs this takes the *median of paired
-    differences*: each repeat times classic and parallel back to back,
-    so transient contention hits both sides of one pair and cancels.
-    """
-
-    def populate(sim, to_domain):
-        def make_train(delay):
-            def fire():
-                sim.schedule(delay, fire)
-
-            return fire
-
-        for i in range(EVENT_TRAINS):
-            to_domain(
-                i % domains, 3 + (i * 7) % 97, make_train(3 + (i * 11) % 101)
-            )
-
-    def run_classic():
-        sim = Simulator()
-        populate(sim, lambda dom, delay, fn: sim.schedule(delay, fn))
-        t0 = time.perf_counter()
-        sim.run(max_events=total_events)
-        t1 = time.perf_counter()
-        return t1 - t0
-
-    def run_parallel():
-        sim = ParallelSimulator(domains, quantum=1)
-        populate(sim, sim.schedule_in)
-        t0 = time.perf_counter()
-        sim.run(max_events=total_events)
-        t1 = time.perf_counter()
-        return t1 - t0
-
-    diffs = sorted(run_parallel() - run_classic() for _ in range(5))
-    return max(diffs[len(diffs) // 2], 0.0)
-
-
 def bench_tracer_off_overhead(size: int) -> float:
     """Fractional cost of the *disabled* telemetry layer on a warm point.
 
@@ -316,8 +245,8 @@ def bench_tracer_off_overhead(size: int) -> float:
     acquisition.  This bench times a warm GEMM point on that normal
     path, then again with the per-acquisition consultation
     short-circuited, and reports the median of paired fractional
-    differences (pairing cancels transient machine noise, as in
-    :func:`bench_pdes_sync_overhead`).  The per-event ``is None`` hook
+    differences (each pair times both sides back to back, so transient
+    machine noise hits both and cancels).  The per-event ``is None`` hook
     checks are co-located with pre-existing branches and cannot be
     separated out; everything the telemetry layer *added* to the point
     path is what this measures.  CI gates it absolutely (<2%, see
@@ -564,10 +493,6 @@ def collect_metrics(quick: bool) -> dict:
     metrics["p2p_transfer_s"] = round(
         bench_p2p_transfer(128 * 1024 if quick else 512 * 1024), 4
     )
-    metrics["pdes_point_s"] = round(bench_pdes_point(gemm_size), 4)
-    metrics["pdes_sync_overhead_s"] = round(
-        bench_pdes_sync_overhead(events), 4
-    )
     metrics["snapshot_us"] = round(bench_snapshot(gemm_size, snap_iters), 2)
     metrics["tracer_off_overhead"] = round(
         bench_tracer_off_overhead(gemm_size), 4
@@ -653,9 +578,18 @@ def normalized(metrics: dict) -> dict:
 
 
 def check_regression(current: dict, committed: dict, tolerance: float) -> int:
-    """Exit code 1 if any normalized metric regressed past tolerance."""
+    """Exit code 1 if any normalized metric regressed past tolerance, or
+    if a metric of the committed baseline is missing from this run (a
+    dropped bench must leave the baseline too, not pass unnoticed)."""
     norm_now = normalized(current)
     norm_ref = normalized(committed)
+    missing = sorted(
+        name for name, value in committed.items()
+        if isinstance(value, (int, float)) and not name.startswith("_")
+        and not isinstance(current.get(name), (int, float))
+    )
+    for name in missing:
+        print(f"  {name:24s} {'':>8s}  MISSING from this run")
     failures = []
     for name, ref in norm_ref.items():
         now = norm_now.get(name)
@@ -690,6 +624,10 @@ def check_regression(current: dict, committed: dict, tolerance: float) -> int:
     if failures:
         print(f"perf check FAILED: {', '.join(failures)} "
               f"regressed more than {tolerance * 100:.0f}%")
+    if missing:
+        print(f"perf check FAILED: {', '.join(missing)} in the baseline "
+              f"but missing from this run")
+    if failures or missing:
         return 1
     print("perf check passed")
     return 0

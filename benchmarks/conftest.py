@@ -3,8 +3,9 @@
 Every bench reproduces one table or figure of the paper.  Problem sizes
 default to reduced values so the whole harness finishes in minutes; set
 ``REPRO_FULL=1`` for paper-scale runs (2048x2048 matrices, full ViT
-dimensions).  Reduced runs scale the LLC with the working set where the
-experiment depends on capacity ratios (see EXPERIMENTS.md).
+dimensions).  Where a reduced working set would fit in the LLC and mask
+the memory system, the experiment bypasses the cache instead: Fig. 5/6
+host-side runs use the DM access method (``repro.sweep.experiments``).
 
 Each bench prints its table next to the paper's reference values; the
 pytest-benchmark timer wraps the headline configuration so regression

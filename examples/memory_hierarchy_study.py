@@ -11,7 +11,8 @@ A compact version of the paper's Fig. 5 and Fig. 6 studies:
 A wide-ingest systolic array (8 elements/cycle) is used so the memory
 system, not the array, is the binding constraint, and host-side runs use
 the DM access method so memory technology is measured rather than LLC
-retention at reduced scale -- see DESIGN.md / EXPERIMENTS.md.
+retention at reduced scale (the same methodology as the Fig. 5/6 sweeps
+in ``repro.sweep.experiments``).
 
 Run:  python examples/memory_hierarchy_study.py
 """

@@ -15,8 +15,9 @@ Public API (the surface the examples and benchmarks use)::
 
 Subpackages expose the individual subsystems (``repro.sim``,
 ``repro.interconnect``, ``repro.memory``, ``repro.cache``, ``repro.smmu``,
-``repro.dma``, ``repro.accel``, ``repro.cpu``, ``repro.workloads``); see
-DESIGN.md for the inventory and README.md for the tour.
+``repro.dma``, ``repro.accel``, ``repro.cpu``, ``repro.workloads``); the
+platform layers (sweeps, topologies, faults, telemetry, serving) each
+have a guide under ``docs/``, starting from docs/SWEEPS.md.
 """
 
 from repro.core import (

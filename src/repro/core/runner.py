@@ -23,8 +23,9 @@ Section V-C/V-D experiments.  Repeated shapes are *memoized*: the first
 instance of each (shape, packet, DMA-segment) tuple is simulated in full
 and later instances replay its measured latency.  Transformer layers are
 identical, so this cuts simulation cost by the layer count without
-changing totals (micro-architectural state differences across layers are
-second-order; DESIGN.md discusses the approximation).
+changing totals.  The approximation ignores micro-architectural state
+carried from one layer to the next (warm caches and TLBs), a
+second-order effect on identical layers.
 """
 
 from __future__ import annotations

@@ -14,7 +14,8 @@ transaction protocol as the device and host see it:
 
 The requester-side tag limit (``PCIeConfig.max_tags``) is enforced by the
 DMA engine, which is what bounds outstanding round trips and produces the
-bandwidth-delay behaviour discussed in DESIGN.md.
+bandwidth-delay behaviour: delivered bandwidth is capped near
+``max_tags * payload / round-trip latency``.
 """
 
 from __future__ import annotations

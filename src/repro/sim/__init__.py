@@ -21,16 +21,12 @@ PCIe packet or one DMA segment) rather than per-cache-line packets.  Each
 component charges per-line / per-TLP / per-burst costs arithmetically inside
 a transaction, so per-line statistics remain exact while the event count
 stays tractable in pure Python.  This is the SystemC TLM-2.0 "approximately
-timed" style; DESIGN.md discusses the trade-off.
+timed" style: it gives up per-line event interleaving inside one
+transaction in exchange for an event count that scales with transactions,
+not cache lines.
 """
 
-from repro.sim.eventq import (
-    Domain,
-    Event,
-    EventQueue,
-    ParallelSimulator,
-    Simulator,
-)
+from repro.sim.eventq import Event, EventQueue, Simulator
 from repro.sim.simobject import ClockedObject, SimObject
 from repro.sim.ticks import (
     GHZ,
@@ -56,8 +52,6 @@ __all__ = [
     "Event",
     "EventQueue",
     "Simulator",
-    "Domain",
-    "ParallelSimulator",
     "SimObject",
     "ClockedObject",
     "TICKS_PER_SEC",

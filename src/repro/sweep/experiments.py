@@ -126,7 +126,7 @@ def fig4_packet_grid_sweep(
 # Fig. 5 / Fig. 6 -- memory system sweeps
 # ----------------------------------------------------------------------
 #: Wide ingest ports so the memory system, not the array, binds
-#: (the paper's Fig. 5/6 methodology; see EXPERIMENTS.md).
+#: (the paper's Fig. 5/6 methodology).
 _FIG5_SA = SystolicParams(ingest_elems=8)
 _FIG6_SA = SystolicParams(ingest_elems=6)
 FIG5_MEMORIES = (DDR4_2400, HBM2, GDDR5, LPDDR5)
@@ -286,7 +286,7 @@ def tab4_translation_sweep(
 # ----------------------------------------------------------------------
 @register_sweep("ablation-dataflow")
 def ablation_dataflow_sweep(size: int = 128) -> SweepSpec:
-    """Dataflow/pipelining design choices (DESIGN.md ablation)."""
+    """Dataflow/pipelining design choices of the accelerator controller."""
     base = SystemConfig.pcie_2gb()
     configs = {
         "baseline (stream)": base,

@@ -4,7 +4,7 @@ Three observability primitives for the simulator (docs/OBSERVABILITY.md):
 
 * :mod:`repro.telemetry.tracer` -- tick-domain spans (DMA descriptor
   lifecycles, TLP trains per link hop, fault retrain/down-train
-  windows, PDES quantum rounds) exported as deterministic Chrome
+  windows) exported as deterministic Chrome
   trace-event JSON, loadable in Perfetto.
 * :mod:`repro.telemetry.metrics` -- periodic StatGroup delta snapshots
   in a bounded ring buffer, with a Prometheus text exposition writer.

@@ -18,9 +18,8 @@ Zero overhead when off: ``Simulator._profiler`` defaults to ``None``
 and the run methods test it once at entry, dispatching to a separate
 instrumented loop -- the hot loop itself carries no new branches.
 
-This is the measurement the "PDES beyond the GIL" roadmap item needs:
-which domains' components actually burn Python time, hence which are
-worth pushing onto their own interpreter.
+It answers which components actually burn host time, hence which layer
+an optimisation should target.
 """
 
 from __future__ import annotations

@@ -279,3 +279,31 @@ class TestQuiesceThrottle:
         sim.run_until_idle(lambda: len(seen) == 3)
         assert sim.now == 3
         assert seen == [1, 2, 3]
+
+
+class TestDiagnosticsReset:
+    def test_freelist_high_water_tracked_and_cleared(self):
+        sim = Simulator()
+        for i in range(32):
+            sim.schedule(i + 1, lambda: None)
+        sim.run()
+        assert sim.freelist_high_water > 0
+        first = sim.diagnostics()
+        sim.reset()
+        assert sim.freelist_high_water == 0
+        assert sim.events_skipped == 0
+        assert sim.diagnostics()["freelist_high_water"] == 0
+        # A rerun reports per-run numbers, not cumulative ones.
+        for i in range(32):
+            sim.schedule(i + 1, lambda: None)
+        sim.run()
+        assert sim.diagnostics() == first
+
+    def test_events_skipped_cleared_by_reset(self):
+        sim = Simulator()
+        sim.schedule(1, lambda: None).cancel()
+        sim.schedule(2, lambda: None)
+        sim.run()
+        assert sim.events_skipped == 1
+        sim.reset()
+        assert sim.events_skipped == 0

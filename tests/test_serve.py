@@ -148,6 +148,13 @@ class TestQueryPath:
                                 "args": "not-a-dict"})
         assert status == 400
         assert b"args" in data
+        # A retired knob from an old client is refused loudly, never
+        # silently dropped and answered with some other point's record.
+        status, data = request(server, "POST", "/query",
+                               {"sweep": SWEEP, "key": keys()[0],
+                                "args": {"domains": 4}})
+        assert status == 400
+        assert b"domains" in data
 
 
 class TestCoalescing:
