@@ -1,9 +1,11 @@
 """Set-associative cache with MSHRs, writeback and invalidation.
 
-The cache operates at transaction granularity: an incoming transaction's
-lines are classified hit/miss against the tag store, missing lines are
-coalesced into contiguous runs fetched downstream (one MSHR per run), and
-the transaction completes when its slowest piece does.  Dirty victims
+The cache operates at transaction granularity: one tag-store call
+classifies an incoming transaction's lines as hits or misses and returns
+the missing lines as contiguous runs, each fetched downstream (one MSHR
+per run) and filled with one more call; the transaction completes when
+its slowest piece does.  Statistics advance once per call by the batched
+line counts.  Dirty victims
 generate downstream writebacks which consume downstream bandwidth but do
 not delay the triggering transaction (writeback buffer semantics).
 
@@ -16,10 +18,10 @@ policy gem5 users get from functional accesses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Deque, List, Optional, Tuple
+from typing import Deque, List, Optional
 from collections import deque
 
-from repro.cache.tags import TagStore
+from repro.cache.tags import TagStore, check_geometry
 from repro.memory.physmem import PhysicalMemory
 from repro.sim.eventq import Simulator
 from repro.sim.ports import CompletionFn, TargetPort
@@ -47,8 +49,7 @@ class CacheParams:
     policy: str = "lru"
 
     def __post_init__(self) -> None:
-        if self.size <= 0 or self.assoc <= 0:
-            raise ValueError("cache size and associativity must be positive")
+        check_geometry(self.size, self.assoc, self.line_size, self.policy)
         if self.mshrs <= 0:
             raise ValueError("need at least one MSHR")
 
@@ -93,29 +94,22 @@ class Cache(TargetPort):
     def send(self, txn: Transaction, on_complete: CompletionFn) -> None:
         params = self.params
         line_size = params.line_size
+        is_write = txn.is_write
         self._accesses.inc()
 
         first_line = txn.addr // line_size
-        last_line = (txn.end_addr - 1) // line_size
-        missing: List[int] = []
-        hit_lines = 0
-        for line in range(first_line, last_line + 1):
-            if self.tags.access(line):
-                hit_lines += 1
-                if txn.is_write:
-                    self.tags.mark_dirty(line)
-            else:
-                missing.append(line)
+        num_lines = (txn.end_addr - 1) // line_size - first_line + 1
+        hit_lines, runs = self.tags.lookup_range(first_line, num_lines, is_write)
         self._hits.inc(hit_lines)
-        self._misses.inc(len(missing))
+        self._misses.inc(num_lines - hit_lines)
 
         if self.functional_store is not None:
             self._functional_access(txn)
 
         hit_time = params.hit_latency + hit_lines * params.line_access
 
-        if not missing or (txn.is_write and not params.write_allocate):
-            if missing and txn.is_write:
+        if not runs or (is_write and not params.write_allocate):
+            if runs:
                 # Write-no-allocate: forward the whole write downstream.
                 self.downstream.send(
                     Transaction.write(txn.addr, txn.size, source=txn.source),
@@ -124,10 +118,8 @@ class Cache(TargetPort):
             self.schedule(hit_time, lambda: on_complete(txn))
             return
 
-        # Coalesce missing lines into contiguous runs.
-        runs = self._coalesce(missing)
+        # One fetch per contiguous run of missing lines.
         state = {"remaining": len(runs)}
-        fill_dirty = txn.is_write
 
         def fetch_done(_fetch_txn: Transaction) -> None:
             state["remaining"] -= 1
@@ -138,8 +130,8 @@ class Cache(TargetPort):
             fetch = Transaction.read(
                 run_start * line_size, run_len * line_size, source=self.name
             )
-            fetch.for_ownership = fill_dirty
-            self._issue_miss(fetch, run_start, run_len, fill_dirty, fetch_done)
+            fetch.for_ownership = is_write
+            self._issue_miss(fetch, run_start, run_len, is_write, fetch_done)
 
     # ------------------------------------------------------------------
     # Miss path
@@ -168,35 +160,19 @@ class Cache(TargetPort):
         self.downstream.send(fetch, on_fill)
 
     def _fill_lines(self, run_start: int, run_len: int, dirty: bool) -> None:
-        line_size = self.params.line_size
-        writeback_runs: List[int] = []
-        for line in range(run_start, run_start + run_len):
-            victim = self.tags.fill(line, dirty)
-            if victim is not None:
-                self._evictions.inc()
-                victim_line, was_dirty = victim
-                if was_dirty:
-                    writeback_runs.append(victim_line)
-        for victim_line in writeback_runs:
-            self._writebacks.inc()
-            wb = Transaction.write(
-                victim_line * line_size, line_size, source=f"{self.name}.wb"
-            )
-            self.downstream.send(wb, lambda _t: None)
+        evicted, dirty_victims = self.tags.fill_range(run_start, run_len, dirty)
+        if evicted:
+            self._evictions.inc(evicted)
+        if dirty_victims:
+            self._write_back(dirty_victims, f"{self.name}.wb")
 
-    @staticmethod
-    def _coalesce(lines: List[int]) -> List[Tuple[int, int]]:
-        """Merge sorted line numbers into (start, length) runs."""
-        runs: List[Tuple[int, int]] = []
-        start = prev = lines[0]
-        for line in lines[1:]:
-            if line == prev + 1:
-                prev = line
-                continue
-            runs.append((start, prev - start + 1))
-            start = prev = line
-        runs.append((start, prev - start + 1))
-        return runs
+    def _write_back(self, lines: List[int], source: str) -> None:
+        """Send one downstream writeback per dirty line (timing only)."""
+        self._writebacks.inc(len(lines))
+        line_size = self.params.line_size
+        for line in lines:
+            wb = Transaction.write(line * line_size, line_size, source=source)
+            self.downstream.send(wb, lambda _t: None)
 
     # ------------------------------------------------------------------
     # Functional data and coherence
@@ -216,19 +192,12 @@ class Cache(TargetPort):
         """
         line_size = self.params.line_size
         first = addr // line_size
-        last = (addr + size - 1) // line_size
-        dropped = 0
-        for line in range(first, last + 1):
-            if line in self.tags:
-                was_dirty = self.tags.invalidate(line)
-                dropped += 1
-                self._invalidations.inc()
-                if was_dirty:
-                    self._writebacks.inc()
-                    wb = Transaction.write(
-                        line * line_size, line_size, source=f"{self.name}.snoopwb"
-                    )
-                    self.downstream.send(wb, lambda _t: None)
+        count = (addr + size - 1) // line_size - first + 1
+        dropped, dirty_lines = self.tags.invalidate_range(first, count)
+        if dropped:
+            self._invalidations.inc(dropped)
+        if dirty_lines:
+            self._write_back(dirty_lines, f"{self.name}.snoopwb")
         return dropped
 
     # ------------------------------------------------------------------

@@ -4,23 +4,41 @@ Tracks which cache lines are resident, their dirty bits, and drives the
 replacement policy.  Addresses are *line* addresses (byte address //
 line_size); the :class:`~repro.cache.cache.Cache` handles byte-level
 slicing.
+
+The store works on *runs* of consecutive lines: :meth:`TagStore.lookup_range`,
+:meth:`TagStore.fill_range` and :meth:`TagStore.invalidate_range` each walk
+their lines in one local loop, so a cache pays one Python call per
+transaction or miss run rather than one per line.  State lives in flat
+lists indexed by *slot* (``set_index * assoc + way``): the resident line
+and dirty bit of every way, plus the policy's stamps.  A free slot's
+dirty bit is stale and never read: every fill overwrites it.  The per-line
+methods (:meth:`access`, :meth:`fill`, :meth:`invalidate`) are one-line
+runs of the same operations.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.cache.replacement import ReplacementPolicy, make_policy
+from repro.cache.replacement import ReplacementPolicy, make_policy, policy_class
 
 
-class _Way:
-    """One way of one set."""
-
-    __slots__ = ("line", "dirty")
-
-    def __init__(self) -> None:
-        self.line: Optional[int] = None
-        self.dirty = False
+def check_geometry(size: int, assoc: int, line_size: int, policy: str) -> None:
+    """Raise ValueError naming the first bad field of a cache geometry."""
+    if size <= 0:
+        raise ValueError(f"size: cache size must be positive, got {size}")
+    if assoc <= 0:
+        raise ValueError(f"assoc: associativity must be positive, got {assoc}")
+    if line_size <= 0 or line_size & (line_size - 1):
+        raise ValueError(
+            f"line_size: line size must be a power of two, got {line_size}"
+        )
+    if size % (assoc * line_size):
+        raise ValueError(
+            f"size: {size} not divisible by assoc*line_size "
+            f"({assoc}*{line_size})"
+        )
+    policy_class(policy)
 
 
 class TagStore:
@@ -41,30 +59,142 @@ class TagStore:
     def __init__(
         self, size: int, assoc: int, line_size: int = 64, policy: str = "lru"
     ) -> None:
-        if line_size <= 0 or line_size & (line_size - 1):
-            raise ValueError(f"line size must be a power of two, got {line_size}")
-        if size % (assoc * line_size):
-            raise ValueError(
-                f"size {size} not divisible by assoc*line_size "
-                f"({assoc}*{line_size})"
-            )
+        check_geometry(size, assoc, line_size, policy)
         self.size = size
         self.assoc = assoc
         self.line_size = line_size
         self.num_sets = size // (assoc * line_size)
-        if self.num_sets == 0:
-            raise ValueError("cache too small for its associativity")
         self.policy: ReplacementPolicy = make_policy(policy, self.num_sets, assoc)
-        self._sets: List[List[_Way]] = [
-            [_Way() for _ in range(assoc)] for _ in range(self.num_sets)
-        ]
-        # line -> (set_index, way_index) for O(1) lookup.
-        self._where: Dict[int, Tuple[int, int]] = {}
+        slots = self.num_sets * assoc
+        self._lines: List[Optional[int]] = [None] * slots
+        self._dirty: List[bool] = [False] * slots
+        # line -> slot for O(1) lookup.
+        self._where: Dict[int, int] = {}
         self._occupancy: List[int] = [0] * self.num_sets
         self._all_ways = list(range(assoc))
 
     # ------------------------------------------------------------------
-    # Lookup
+    # Range operations
+    # ------------------------------------------------------------------
+    def lookup_range(
+        self, first: int, count: int, dirty: bool = False
+    ) -> Tuple[int, List[Tuple[int, int]]]:
+        """Look up ``count`` lines from ``first`` with recency update.
+
+        Returns ``(hits, miss_runs)``: the number of resident lines and the
+        missing ones as ascending ``(start, length)`` runs.  With ``dirty``
+        every resident line is marked dirty.
+        """
+        where = self._where
+        policy = self.policy
+        stamps = policy.stamps if policy.stamp_on_touch else None
+        stamp = policy.stamp
+        dirty_bits = self._dirty
+        hits = 0
+        runs: List[Tuple[int, int]] = []
+        run_start = None
+        stop = first + count
+        for line in range(first, stop):
+            slot = where.get(line)
+            if slot is None:
+                if run_start is None:
+                    run_start = line
+                continue
+            if run_start is not None:
+                runs.append((run_start, line - run_start))
+                run_start = None
+            hits += 1
+            if stamps is not None:
+                stamp += 1
+                stamps[slot] = stamp
+            if dirty:
+                dirty_bits[slot] = True
+        if run_start is not None:
+            runs.append((run_start, stop - run_start))
+        policy.stamp = stamp
+        return hits, runs
+
+    def fill_range(
+        self, first: int, count: int, dirty: bool = False
+    ) -> Tuple[int, List[int]]:
+        """Insert ``count`` lines from ``first``, in order.
+
+        Filling a line that is already resident just ORs in ``dirty`` and
+        updates its recency.  Returns ``(evicted, dirty_victims)``: how
+        many lines were evicted, and the dirty ones in eviction order.
+        """
+        where = self._where
+        lines = self._lines
+        dirty_bits = self._dirty
+        occupancy = self._occupancy
+        num_sets = self.num_sets
+        assoc = self.assoc
+        policy = self.policy
+        stamps = policy.stamps
+        touch = policy.stamp_on_touch
+        insert = policy.stamp_on_insert
+        stamp = policy.stamp
+        all_ways = self._all_ways
+        evicted = 0
+        dirty_victims: List[int] = []
+        for line in range(first, first + count):
+            slot = where.get(line)
+            if slot is not None:
+                if dirty:
+                    dirty_bits[slot] = True
+                if touch:
+                    stamp += 1
+                    stamps[slot] = stamp
+                continue
+            set_index = line % num_sets
+            base = set_index * assoc
+            if occupancy[set_index] < assoc:
+                slot = lines.index(None, base, base + assoc)
+                occupancy[set_index] += 1
+            else:
+                slot = base + policy.victim(set_index, all_ways)
+                victim = lines[slot]
+                del where[victim]
+                evicted += 1
+                if dirty_bits[slot]:
+                    dirty_victims.append(victim)
+            lines[slot] = line
+            dirty_bits[slot] = dirty
+            where[line] = slot
+            if insert:
+                stamp += 1
+                stamps[slot] = stamp
+        policy.stamp = stamp
+        return evicted, dirty_victims
+
+    def invalidate_range(self, first: int, count: int) -> Tuple[int, List[int]]:
+        """Drop the resident lines among ``count`` lines from ``first``.
+
+        Returns ``(dropped, dirty_lines)``: how many lines were resident,
+        and the dirty ones in ascending order.
+        """
+        where = self._where
+        dirty_lines: List[int] = []
+        if not where:
+            return 0, dirty_lines
+        lines = self._lines
+        dirty_bits = self._dirty
+        occupancy = self._occupancy
+        assoc = self.assoc
+        dropped = 0
+        for line in range(first, first + count):
+            slot = where.pop(line, None)
+            if slot is None:
+                continue
+            dropped += 1
+            if dirty_bits[slot]:
+                dirty_lines.append(line)
+            lines[slot] = None
+            occupancy[slot // assoc] -= 1
+        return dropped, dirty_lines
+
+    # ------------------------------------------------------------------
+    # Per-line operations
     # ------------------------------------------------------------------
     def set_index_of(self, line: int) -> int:
         return line % self.num_sets
@@ -75,87 +205,42 @@ class TagStore:
 
     def access(self, line: int) -> bool:
         """Lookup with recency update; True on hit."""
-        loc = self._where.get(line)
-        if loc is None:
-            return False
-        self.policy.touch(*loc)
-        return True
+        return self.lookup_range(line, 1)[0] == 1
 
     def is_dirty(self, line: int) -> bool:
-        loc = self._where.get(line)
-        if loc is None:
-            return False
-        return self._sets[loc[0]][loc[1]].dirty
+        slot = self._where.get(line)
+        return slot is not None and self._dirty[slot]
 
-    # ------------------------------------------------------------------
-    # Mutation
-    # ------------------------------------------------------------------
     def fill(self, line: int, dirty: bool = False) -> Optional[Tuple[int, bool]]:
         """Insert ``line``; return evicted ``(line, was_dirty)`` if any.
 
         Filling a line that is already resident just updates its dirty bit
         (logical OR) and recency.
         """
-        loc = self._where.get(line)
-        if loc is not None:
-            way = self._sets[loc[0]][loc[1]]
-            way.dirty = way.dirty or dirty
-            self.policy.touch(*loc)
+        base = self.set_index_of(line) * self.assoc
+        stop = base + self.assoc
+        lines_before = self._lines[base:stop]
+        dirty_before = self._dirty[base:stop]
+        if not self.fill_range(line, 1, dirty)[0]:
             return None
-
-        set_index = self.set_index_of(line)
-        ways = self._sets[set_index]
-        victim_info: Optional[Tuple[int, bool]] = None
-
-        if self._occupancy[set_index] < self.assoc:
-            free_way = next(i for i, w in enumerate(ways) if w.line is None)
-            self._occupancy[set_index] += 1
-        else:
-            free_way = self.policy.victim(set_index, self._all_ways)
-            victim = ways[free_way]
-            victim_info = (victim.line, victim.dirty)
-            del self._where[victim.line]
-
-        slot = ways[free_way]
-        slot.line = line
-        slot.dirty = dirty
-        self._where[line] = (set_index, free_way)
-        self.policy.insert(set_index, free_way)
-        return victim_info
+        way = self._where[line] - base
+        return lines_before[way], dirty_before[way]
 
     def mark_dirty(self, line: int) -> None:
         """Set the dirty bit of a resident line."""
-        loc = self._where.get(line)
-        if loc is None:
+        slot = self._where.get(line)
+        if slot is None:
             raise KeyError(f"line {line:#x} not resident")
-        self._sets[loc[0]][loc[1]].dirty = True
+        self._dirty[slot] = True
 
     def invalidate(self, line: int) -> bool:
         """Drop ``line`` if resident; returns True if it was dirty."""
-        loc = self._where.pop(line, None)
-        if loc is None:
-            return False
-        way = self._sets[loc[0]][loc[1]]
-        dirty = way.dirty
-        way.line = None
-        way.dirty = False
-        self._occupancy[loc[0]] -= 1
-        return dirty
+        return bool(self.invalidate_range(line, 1)[1])
 
     def reset(self) -> None:
-        """Empty every set and rewind the replacement policy.
-
-        Walks only the *resident* lines (``_where`` knows exactly which
-        ways are occupied) instead of every way of every set, so resetting
-        a barely-touched tag store between memoized-sweep points is
-        O(resident lines) rather than O(capacity).
-        """
+        """Empty every set and rewind the replacement policy."""
         if self._where:
-            sets = self._sets
-            for set_index, way_index in self._where.values():
-                way = sets[set_index][way_index]
-                way.line = None
-                way.dirty = False
+            self._lines = [None] * len(self._lines)
             self._where.clear()
             self._occupancy = [0] * self.num_sets
         self.policy.reset()

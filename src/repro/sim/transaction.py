@@ -63,6 +63,8 @@ class Transaction:
     __slots__ = (
         "id",
         "cmd",
+        "is_read",
+        "is_write",
         "addr",
         "size",
         "data",
@@ -95,6 +97,10 @@ class Transaction:
             )
         self.id = next(_txn_ids)
         self.cmd = cmd
+        #: Direction flags, fixed with ``cmd``: plain attributes because
+        #: every layer tests them per transaction.
+        self.is_read = cmd is MemCmd.READ
+        self.is_write = cmd is MemCmd.WRITE
         self.addr = addr
         self.size = size
         self.data = data
@@ -116,14 +122,6 @@ class Transaction:
     # Convenience predicates and constructors
     # ------------------------------------------------------------------
     @property
-    def is_read(self) -> bool:
-        return self.cmd.is_read
-
-    @property
-    def is_write(self) -> bool:
-        return self.cmd.is_write
-
-    @property
     def end_addr(self) -> int:
         """One past the last byte touched."""
         return self.addr + self.size
@@ -143,17 +141,20 @@ class Transaction:
     ) -> "Transaction":
         """A fresh transaction for one segment of a larger transfer.
 
-        Copies the routing-relevant fields (command, source, stream,
-        packet size) from ``self`` -- the *template* the DMA engine
-        builds once per descriptor -- and skips ``__init__`` validation:
-        segment addresses and sizes are derived from an already-validated
-        descriptor, so re-checking them per segment is pure overhead on
-        the engine's hottest path.  Everything else starts pristine,
-        exactly as a fresh construction would leave it.
+        Copies the routing-relevant fields (command and its direction
+        flags, source, stream, packet size) from ``self`` -- the
+        *template* the DMA engine builds once per descriptor -- and skips
+        ``__init__`` validation: segment addresses and sizes are derived
+        from an already-validated descriptor, so re-checking them per
+        segment is pure overhead on the engine's hottest path.  Everything
+        else starts pristine, exactly as a fresh construction would leave
+        it.
         """
         txn = Transaction.__new__(Transaction)
         txn.id = next(_txn_ids)
         txn.cmd = self.cmd
+        txn.is_read = self.is_read
+        txn.is_write = self.is_write
         txn.addr = addr
         txn.size = size
         txn.data = None

@@ -85,3 +85,22 @@ class TestLatency:
     def test_repr_mentions_command(self):
         assert "read" in repr(Transaction.read(0, 64))
         assert "write" in repr(Transaction.write(0, 64))
+
+
+class TestDirectionFlags:
+    @pytest.mark.parametrize("make, is_read", [
+        (lambda: Transaction.read(0x1000, 256, source="dma"), True),
+        (lambda: Transaction.write(0x1000, 256, source="dma"), False),
+    ])
+    def test_cloned_segment_keeps_its_direction(self, make, is_read):
+        template = make()
+        segment = template.clone_for_segment(0x1040, 64, issue_tick=5)
+        assert segment.cmd is template.cmd
+        assert segment.is_read is is_read
+        assert segment.is_write is (not is_read)
+
+    def test_flags_follow_the_command(self):
+        for cmd in MemCmd:
+            txn = Transaction(cmd, 0, 64)
+            assert txn.is_read is cmd.is_read
+            assert txn.is_write is cmd.is_write
