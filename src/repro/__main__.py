@@ -328,6 +328,16 @@ def _telemetry_settings(args):
         return None
     from repro.telemetry.state import TelemetrySettings
 
+    if args.profile:
+        from repro.telemetry.profiler import refuse_nested_profile
+
+        try:
+            refuse_nested_profile()
+        except RuntimeError as exc:
+            # Printed, not passed to SystemExit: `python -m cProfile`
+            # swallows SystemExit, and with it the message.
+            print(f"error: {exc}", file=sys.stderr)
+            raise SystemExit(2) from None
     return TelemetrySettings(
         trace=args.trace,
         trace_dir=args.telemetry_dir or "telemetry",
@@ -754,6 +764,24 @@ def _telemetry_keys(directory: str) -> list:
     return sorted(keys)
 
 
+def _profile_hotspot(path: str) -> str:
+    """``"<layer> (<share>%)"`` for the top non-``python`` layer."""
+    import json
+
+    try:
+        with open(path, encoding="utf-8") as handle:
+            layers = json.load(handle)["layers"]
+        top = max(((row["share"], layer) for layer, row in layers.items()
+                   if layer != "python"), default=None)
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise SystemExit(
+            f"telemetry: {path}: not a layer profile ({exc!r})"
+        ) from None
+    if top is None:
+        return "-"
+    return f"{top[1]} ({100 * top[0]:.0f}%)"
+
+
 def cmd_telemetry(args) -> int:
     """``telemetry summarize`` / ``telemetry export``."""
     import json
@@ -794,13 +822,7 @@ def cmd_telemetry(args) -> int:
             hotspot = "-"
             profile_path = os.path.join(directory, f"{key}.profile.json")
             if os.path.exists(profile_path):
-                with open(profile_path, encoding="utf-8") as handle:
-                    profile = json.load(handle)
-                buckets = profile.get("buckets", [])
-                if buckets:
-                    top = buckets[0]
-                    hotspot = (f"{top['bucket']} "
-                               f"({top['seconds'] * 1e3:.1f} ms)")
+                hotspot = _profile_hotspot(profile_path)
             rows.append((key[:16], spans, instants, samples, series,
                          hotspot, valid))
         print(format_table(
@@ -1016,11 +1038,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="sample per-component stat deltas every N "
                               "simulated ticks into ring-buffered time "
                               "series (with Prometheus text exposition)")
-    p_sweep.add_argument("--profile", choices=["exact", "sampling"],
-                         default=None,
-                         help="attribute host wall-clock of the event "
-                              "loop to component buckets (exact: time "
-                              "every callback; sampling: every 97th)")
+    p_sweep.add_argument("--profile", action="store_true",
+                         help="cProfile each simulated point and write "
+                              "host time per repro layer (cache, sim, "
+                              "dma, ...) plus the heaviest functions "
+                              "to <key>.profile.json")
     p_sweep.add_argument("--diagnostics", action="store_true",
                          help="record simulator run-health counters "
                               "(events executed/skipped, freelist "

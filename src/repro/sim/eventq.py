@@ -210,11 +210,6 @@ class Simulator:
         self.freelist_high_water: int = 0
         #: Every SimObject constructed against this simulator, in order.
         self.objects: list = []
-        #: Self-profiler hook (repro.telemetry.profiler).  ``None`` keeps
-        #: the monomorphic run loops untouched: the run methods test this
-        #: once at entry and dispatch to the instrumented variants, so
-        #: the disabled path gains no per-event branch.
-        self._profiler = None
 
     def register(self, obj) -> None:
         """Record a SimObject for system-wide reset walks."""
@@ -324,8 +319,6 @@ class Simulator:
 
         Returns the tick of the last executed event (i.e. ``self.now``).
         """
-        if self._profiler is not None:
-            return self._run_profiled(until, max_events)
         self._running = True
         executed = 0
         queue = self.queue
@@ -400,75 +393,6 @@ class Simulator:
             self._running = False
         return self.now
 
-    def _run_profiled(
-        self, until: Optional[int], max_events: Optional[int]
-    ) -> int:
-        """:meth:`run` with host wall-clock attribution per event bucket.
-
-        Semantically identical to :meth:`run` (same monotonicity checks,
-        lazy deletion, freelist recycling and budget accounting), with a
-        ``perf_counter`` pair around every profiled callback.  Simulated
-        results are bit-identical; only the host time differs.  Kept as
-        a separate method so the unprofiled loop stays branch-free.
-        """
-        from time import perf_counter
-
-        profiler = self._profiler
-        stride = profiler.sample_every
-        record = profiler.record
-        self._running = True
-        executed = 0
-        queue = self.queue
-        heap = queue._heap
-        free = queue._free
-        pop = heappop
-        budget = max_events if max_events is not None else (1 << 62)
-        try:
-            while heap:
-                if until is not None:
-                    head = heap[0]
-                    if head[3].cancelled:
-                        pop(heap)
-                        queue.skipped_cancelled += 1
-                        head[3].callback = None
-                        if len(free) < _FREELIST_MAX:
-                            free.append(head[3])
-                        continue
-                    if head[0] > until:
-                        break
-                when, _prio, _seq, event = pop(heap)
-                if event.cancelled:
-                    queue.skipped_cancelled += 1
-                    event.callback = None
-                    if len(free) < _FREELIST_MAX:
-                        free.append(event)
-                    continue
-                if when < self.now:
-                    raise RuntimeError(
-                        f"event {event.name!r} scheduled at {when} "
-                        f"but time already at {self.now}"
-                    )
-                self.now = when
-                profiler.events_seen += 1
-                if profiler.events_seen % stride == 0:
-                    began = perf_counter()
-                    event.callback()
-                    record(event.name, perf_counter() - began)
-                else:
-                    event.callback()
-                event.callback = None
-                if len(free) < _FREELIST_MAX:
-                    free.append(event)
-                executed += 1
-                if executed >= budget:
-                    break
-        finally:
-            self.events_executed += executed
-            if len(free) > self.freelist_high_water:
-                self.freelist_high_water = len(free)
-            self._running = False
-        return self.now
-
     def run_until_idle(self, quiesce: Callable[[], bool], max_events: int = 10**9) -> int:
         """Run until ``quiesce()`` returns True.
 
@@ -486,8 +410,6 @@ class Simulator:
         before the system quiesces, or if time would move backwards --
         the same monotonicity contract :meth:`run` enforces.
         """
-        if self._profiler is not None:
-            return self._run_until_idle_profiled(quiesce, max_events)
         self._running = True
         executed = 0
         queue = self.queue
@@ -533,90 +455,6 @@ class Simulator:
                     pop(heap)
                     self.now = when
                     event.callback()
-                    event.callback = None
-                    if len(free) < _FREELIST_MAX:
-                        free.append(event)
-                    ran += 1
-                executed += ran
-                if not drained and executed >= max_events:
-                    if not quiesce():
-                        raise RuntimeError(
-                            f"run_until_idle exhausted max_events="
-                            f"{max_events} before quiescing"
-                        )
-                    break
-        finally:
-            self.events_executed += executed
-            if len(free) > self.freelist_high_water:
-                self.freelist_high_water = len(free)
-            self._running = False
-        return self.now
-
-    def _run_until_idle_profiled(
-        self, quiesce: Callable[[], bool], max_events: int
-    ) -> int:
-        """:meth:`run_until_idle` with per-bucket wall-clock attribution.
-
-        Replicates the throttled quiesce loop exactly (including the
-        backoff schedule, so the executed-event count matches the
-        unprofiled run bit for bit) and times callbacks the same way
-        :meth:`_run_profiled` does.
-        """
-        from time import perf_counter
-
-        profiler = self._profiler
-        stride = profiler.sample_every
-        record = profiler.record
-        self._running = True
-        executed = 0
-        queue = self.queue
-        heap = queue._heap
-        free = queue._free
-        pop = heappop
-        interval = 1
-        misses = 0
-        drained = False
-        try:
-            while True:
-                if quiesce():
-                    break
-                if heap and not drained:
-                    misses += 1
-                    if (misses >= _QUIESCE_BACKOFF_AFTER
-                            and interval < _QUIESCE_MAX_INTERVAL):
-                        interval <<= 1
-                        misses = 0
-                elif drained:
-                    break
-                ran = 0
-                while ran < interval and executed + ran < max_events:
-                    if not heap:
-                        drained = True
-                        break
-                    head = heap[0]
-                    event = head[3]
-                    if event.cancelled:
-                        pop(heap)
-                        queue.skipped_cancelled += 1
-                        event.callback = None
-                        if len(free) < _FREELIST_MAX:
-                            free.append(event)
-                        continue
-                    when = head[0]
-                    if when < self.now:
-                        raise RuntimeError(
-                            f"event {event.name!r} scheduled at {when} "
-                            f"but time already at {self.now}"
-                        )
-                    pop(heap)
-                    self.now = when
-                    profiler.events_seen += 1
-                    if profiler.events_seen % stride == 0:
-                        began = perf_counter()
-                        event.callback()
-                        record(event.name, perf_counter() - began)
-                    else:
-                        event.callback()
                     event.callback = None
                     if len(free) < _FREELIST_MAX:
                         free.append(event)

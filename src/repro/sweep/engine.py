@@ -317,7 +317,7 @@ def point_params(spec: SweepSpec, point: SweepPoint) -> dict:
 _point_params = point_params
 
 
-def _drain_telemetry(key_hash: str) -> Optional[dict]:
+def _drain_telemetry(settings, key_hash: str, profile) -> Optional[dict]:
     """Collect one simulated point's telemetry; write its artifacts.
 
     Runs in whichever process simulated the point (pool workers inherit
@@ -326,19 +326,16 @@ def _drain_telemetry(key_hash: str) -> Optional[dict]:
     names are ``<key_hash>.<kind>`` -- deterministic, so rerunning the
     same point overwrites with byte-identical content.  Returns the
     JSON-safe summary carried on :attr:`SweepOutcome.telemetry`, or
-    None when no session is active.  The self-profiler's wall-clock
+    None when no session is active.  The layer profile's wall-clock
     numbers go only into their artifact file, never the summary:
     everything shipped between processes and merged into reports must
     be deterministic.
     """
-    from repro.telemetry.state import active, drain_point
-
-    settings = active()
     if settings is None or not settings.enabled:
         return None
-    data = drain_point()
-    if not data:
-        return None
+    from repro.telemetry.state import drain_point
+
+    data = drain_point() or {}
     directory = settings.trace_dir
     if directory:
         os.makedirs(directory, exist_ok=True)
@@ -364,10 +361,11 @@ def _drain_telemetry(key_hash: str) -> Optional[dict]:
             entry["path"] = path
             entry["prometheus_path"] = prom_path
         out["metrics"] = entry
-    profile = data.get("profile")
     if profile is not None and directory:
+        from repro.telemetry.profiler import layer_profile
+
         path = os.path.join(directory, f"{key_hash}.profile.json")
-        atomic_write_json(path, profile)
+        atomic_write_json(path, layer_profile(profile))
         out["profile"] = {"path": path}
     if "diagnostics" in data:
         out["diagnostics"] = data["diagnostics"]
@@ -380,11 +378,26 @@ def _simulate(
     """Run one point and encode its result (this is the worker body).
 
     Returns ``(record, telemetry)``: the runner-encoded record, plus the
-    per-point telemetry summary (None on ordinary untraced runs).
+    per-point telemetry summary (None on ordinary untraced runs).  With
+    ``--profile``, one cProfile layer profile spans the whole point
+    window: system acquisition and reset (inside ``runner.run``), the
+    simulation itself, and ``runner.encode``.
     """
-    result = runner.run(point.config, **params)
-    record = runner.encode(result)
-    return record, _drain_telemetry(key_hash)
+    from repro.telemetry.state import active
+
+    settings = active()
+    profile = None
+    if settings is not None and settings.profile:
+        from repro.telemetry.profiler import start_profile
+
+        profile = start_profile()
+    try:
+        result = runner.run(point.config, **params)
+        record = runner.encode(result)
+    finally:
+        if profile is not None:
+            profile.disable()
+    return record, _drain_telemetry(settings, key_hash, profile)
 
 
 @dataclass

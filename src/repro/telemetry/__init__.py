@@ -1,4 +1,4 @@
-"""Telemetry: span tracing, time-series metrics, self-profiling.
+"""Telemetry: span tracing, time-series metrics, layer profiles.
 
 Three observability primitives for the simulator (docs/OBSERVABILITY.md):
 
@@ -8,8 +8,9 @@ Three observability primitives for the simulator (docs/OBSERVABILITY.md):
   trace-event JSON, loadable in Perfetto.
 * :mod:`repro.telemetry.metrics` -- periodic StatGroup delta snapshots
   in a bounded ring buffer, with a Prometheus text exposition writer.
-* :mod:`repro.telemetry.profiler` -- host wall-clock attribution of the
-  event loop to component buckets (exact or sampling).
+* :mod:`repro.telemetry.profiler` -- a cProfile of each simulated
+  point, taken by the sweep engine outside the simulator and grouped
+  by ``repro`` subpackage into host time per layer.
 
 Sessions are process-global (:func:`activate` / :func:`deactivate`,
 inherited by sweep pool workers through an environment variable) and
@@ -21,7 +22,7 @@ results; the import itself is gated below 2% run-loop overhead by
 """
 
 from repro.telemetry.metrics import MetricsSampler, render_prometheus
-from repro.telemetry.profiler import SelfProfiler
+from repro.telemetry.profiler import layer_of
 from repro.telemetry.runtime import TelemetryRuntime
 from repro.telemetry.state import (
     TELEMETRY_ENV,
@@ -44,7 +45,6 @@ __all__ = [
     "TELEMETRY_ENV",
     "MetricsSampler",
     "NullTracer",
-    "SelfProfiler",
     "SpanTracer",
     "TRACER",
     "TelemetryRuntime",
@@ -54,6 +54,7 @@ __all__ = [
     "current_runtime",
     "deactivate",
     "drain_point",
+    "layer_of",
     "on_system_acquired",
     "render_prometheus",
     "validate_chrome_trace",

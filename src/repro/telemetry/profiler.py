@@ -1,91 +1,116 @@
-"""Simulator self-profiling: host wall-clock per component bucket.
+"""Layer profile: host time per ``repro`` subpackage, per simulated point.
 
-Attributes the *host* time spent inside ``Simulator.run_*`` to the
-components whose callbacks consumed it, bucketed by event name (every
-component schedules its events under its own name).  Two modes:
+With ``--profile``, the sweep engine wraps each simulated point's window
+(system acquisition and reset, ``runner.run``, ``runner.encode``) in
+one :class:`cProfile.Profile`, taken from outside the simulator, and
+:func:`layer_profile` turns it into a ``<key>.profile.json`` artifact:
+self time (``tottime``) and share per layer, plus the heaviest
+functions, each tagged with its layer.
 
-* ``"exact"`` wraps every callback in a ``perf_counter`` pair --
-  precise, roughly doubles loop overhead, fine for diagnosis runs.
-* ``"sampling"`` times every *K*-th event and scales the measurement by
-  the stride -- an estimate whose loop overhead stays near zero.
+A function's layer is the ``repro`` subpackage its file lives in
+(:func:`layer_of`), named like the benchmark's per-layer metrics:
+``repro/sweep/cache.py`` is ``result_cache``.  Everything outside
+``repro`` -- the interpreter's built-ins and the standard library --
+is ``python``.  Because the grouping follows the code that actually
+ran, cache work done synchronously inside a DMA or bus callback counts
+as ``cache``, not as the event that called it.
 
-The profiler is host-side observation only: it never touches simulated
-time, so results stay bit-identical (the run merely takes longer).  Its
-*output* is wall-clock and therefore non-deterministic -- it is kept
-out of trace artifacts and result records, which must be byte-stable.
-
-Zero overhead when off: ``Simulator._profiler`` defaults to ``None``
-and the run methods test it once at entry, dispatching to a separate
-instrumented loop -- the hot loop itself carries no new branches.
-
-It answers which components actually burn host time, hence which layer
-an optimisation should target.
+The profile is host-side observation only: it never touches simulated
+time, so results stay bit-identical.  Its numbers are wall-clock and
+therefore non-deterministic; they go only into the artifact file,
+never into result records or the cross-process telemetry summary.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import sys
+from typing import TYPE_CHECKING, Optional
 
-__all__ = ["SelfProfiler"]
+if TYPE_CHECKING:  # imported lazily: this module loads on every sweep
+    import cProfile
+
+__all__ = [
+    "TOP_FUNCTIONS",
+    "layer_of",
+    "layer_profile",
+    "refuse_nested_profile",
+    "start_profile",
+]
+
+#: Heaviest functions (by self time) listed in each artifact.
+TOP_FUNCTIONS = 20
 
 
-class SelfProfiler:
-    """Wall-clock accumulator keyed by event-name bucket."""
+def layer_of(filename: str) -> str:
+    """The layer of the code in ``filename`` (a cProfile file name)."""
+    parts = filename.replace("\\", "/").split("/")
+    if "repro" not in parts[:-1]:
+        return "python"
+    rest = parts[len(parts) - 1 - parts[-2::-1].index("repro"):]
+    if rest == ["sweep", "cache.py"]:
+        return "result_cache"
+    return rest[0] if len(rest) > 1 else "repro"
 
-    MODES = ("exact", "sampling")
 
-    __slots__ = ("mode", "sample_every", "buckets", "events_seen")
+def refuse_nested_profile() -> None:
+    """Raise ``RuntimeError`` naming any profiler already active here.
 
-    def __init__(self, mode: str = "exact", sample_every: int = 97) -> None:
-        if mode not in self.MODES:
-            raise ValueError(
-                f"profiler mode must be one of {self.MODES}, got {mode!r}"
-            )
-        if sample_every < 1:
-            raise ValueError(
-                f"sample_every must be >= 1, got {sample_every}"
-            )
-        self.mode = mode
-        self.sample_every = sample_every if mode == "sampling" else 1
-        #: bucket name -> [timed_calls, seconds].
-        self.buckets: Dict[str, list] = {}
-        self.events_seen = 0
+    ``cProfile`` replaces an existing ``sys.setprofile`` hook silently
+    (3.11) or fails with a bare ``ValueError`` (3.12+), so ``--profile``
+    checks first and refuses with a message naming the other profiler.
+    """
+    hook = sys.getprofile()
+    monitoring = getattr(sys, "monitoring", None)  # Python 3.12+
+    if hook is not None:
+        kind = hook if hasattr(hook, "__qualname__") else type(hook)
+        other = f"{kind.__module__}.{kind.__qualname__}"
+    elif monitoring is not None:
+        other = monitoring.get_tool(monitoring.PROFILER_ID)
+    else:
+        other = None
+    if other is not None:
+        raise RuntimeError(
+            f"--profile cannot run under another profiler ({other} is "
+            f"active); drop --profile or the outer profiler"
+        )
 
-    def record(self, name: str, seconds: float) -> None:
-        """Credit ``seconds`` of host time to bucket ``name``."""
-        bucket = self.buckets.get(name)
-        if bucket is None:
-            self.buckets[name] = [1, seconds]
-        else:
-            bucket[0] += 1
-            bucket[1] += seconds
 
-    # ------------------------------------------------------------------
-    # Reporting
-    # ------------------------------------------------------------------
-    @property
-    def total_seconds(self) -> float:
-        """Estimated total attributed host time (stride-scaled)."""
-        return sum(b[1] for b in self.buckets.values()) * self.sample_every
+def start_profile() -> cProfile.Profile:
+    """An enabled profile; refuses to displace another profiler."""
+    import cProfile
 
-    def table(self, limit: Optional[int] = None) -> List[dict]:
-        """Buckets sorted by attributed time, heaviest first."""
-        rows = [
-            {
-                "bucket": name or "(anonymous)",
-                "timed_calls": calls,
-                "seconds": seconds * self.sample_every,
-            }
-            for name, (calls, seconds) in self.buckets.items()
-        ]
-        rows.sort(key=lambda row: (-row["seconds"], row["bucket"]))
-        return rows[:limit] if limit is not None else rows
+    refuse_nested_profile()
+    profile = cProfile.Profile()
+    profile.enable()
+    return profile
 
-    def to_record(self) -> dict:
-        return {
-            "mode": self.mode,
-            "sample_every": self.sample_every,
-            "events_seen": self.events_seen,
-            "total_seconds": self.total_seconds,
-            "buckets": self.table(),
-        }
+
+def layer_profile(profile: cProfile.Profile) -> dict:
+    """The artifact document of a finished (disabled) profile."""
+    import pstats
+
+    layers: dict = {}
+    functions = []
+    for (filename, line, name), row in pstats.Stats(profile).stats.items():
+        _cc, calls, self_s, cum_s, _callers = row
+        layer = layer_of(filename)
+        layers[layer] = layers.get(layer, 0.0) + self_s
+        functions.append({
+            "function": f"{filename}:{line}({name})",
+            "layer": layer,
+            "calls": calls,
+            "self_s": self_s,
+            "cum_s": cum_s,
+        })
+    total = sum(layers.values())
+    functions.sort(key=lambda row: (-row["self_s"], row["function"]))
+    return {
+        "total_s": total,
+        "layers": {
+            layer: {"seconds": seconds,
+                    "share": seconds / total if total else 0.0}
+            for layer, seconds in sorted(layers.items(),
+                                         key=lambda kv: (-kv[1], kv[0]))
+        },
+        "functions": functions[:TOP_FUNCTIONS],
+    }

@@ -57,10 +57,9 @@ class TelemetrySettings:
     metrics_every: Optional[int] = None
     #: Ring-buffer capacity of the metrics sampler (samples retained).
     metrics_capacity: int = 4096
-    #: Self-profiler mode: ``None``, ``"exact"`` or ``"sampling"``.
-    profile: Optional[str] = None
-    #: Sampling stride for ``profile="sampling"``.
-    profile_every: int = 97
+    #: Take a cProfile layer profile of each simulated point
+    #: (``<key_hash>.profile.json``; see repro.telemetry.profiler).
+    profile: bool = False
     #: Capture ``Simulator.diagnostics()`` per point.
     diagnostics: bool = False
 
@@ -69,7 +68,7 @@ class TelemetrySettings:
         return bool(
             self.trace
             or self.metrics_every is not None
-            or self.profile is not None
+            or self.profile
             or self.diagnostics
         )
 
@@ -80,7 +79,6 @@ class TelemetrySettings:
             "metrics_every": self.metrics_every,
             "metrics_capacity": self.metrics_capacity,
             "profile": self.profile,
-            "profile_every": self.profile_every,
             "diagnostics": self.diagnostics,
         }
 
@@ -91,8 +89,7 @@ class TelemetrySettings:
             trace_dir=payload.get("trace_dir"),
             metrics_every=payload.get("metrics_every"),
             metrics_capacity=int(payload.get("metrics_capacity", 4096)),
-            profile=payload.get("profile"),
-            profile_every=int(payload.get("profile_every", 97)),
+            profile=bool(payload.get("profile", False)),
             diagnostics=bool(payload.get("diagnostics", False)),
         )
 

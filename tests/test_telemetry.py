@@ -8,12 +8,13 @@ Covers the acceptance bars of docs/OBSERVABILITY.md:
   (byte-identical across reruns and --shard slices);
 * record bit-identity: a traced sweep produces the very records an
   untraced sweep does, with telemetry/diagnostics only as siblings;
-* the metrics ring buffer, the Prometheus exposition, the
-  self-profiler, and the env-var session channel.
+* the metrics ring buffer, the Prometheus exposition, the per-point
+  layer profile, and the env-var session channel.
 """
 
 import json
 import os
+import sys
 
 import pytest
 
@@ -27,12 +28,12 @@ from repro.telemetry import (
     TRACER,
     MetricsSampler,
     NullTracer,
-    SelfProfiler,
     SpanTracer,
     TelemetrySettings,
     activate,
     active,
     deactivate,
+    layer_of,
     validate_chrome_trace,
 )
 
@@ -78,7 +79,6 @@ class TestDisabledDefaults:
     def test_component_hooks_default_none(self):
         system = system_for(SystemConfig.table2_baseline())
         assert system.wrapper.dma.trace is None
-        assert system.sim._profiler is None
         assert system.fabric.up.trace is None
         assert system.fabric.down.trace is None
 
@@ -159,7 +159,7 @@ class TestSessionChannel:
     def test_json_round_trip(self):
         settings = TelemetrySettings(
             trace=True, trace_dir="/tmp/t", metrics_every=1000,
-            profile="sampling", diagnostics=True,
+            profile=True, diagnostics=True,
         )
         assert TelemetrySettings.from_json(settings.to_json()) == settings
 
@@ -240,7 +240,7 @@ class TestTracedSweep:
     def test_metrics_and_profile_artifacts(self, tmp_path):
         settings = TelemetrySettings(
             trace_dir=str(tmp_path / "m"), metrics_every=1_000_000,
-            profile="exact",
+            profile=True,
         )
         activate(settings)
         try:
@@ -257,12 +257,18 @@ class TestTracedSweep:
             prom = open(summary["metrics"]["prometheus_path"]).read()
             assert "repro_stat{" in prom
             assert "repro_samples_total" in prom
+            # A host-LLC point: the cache tag model and the event loop
+            # both show up as layers.
             profile_doc = json.loads(open(summary["profile"]["path"]).read())
-            assert profile_doc["mode"] == "exact"
-            assert profile_doc["buckets"]
+            layers = profile_doc["layers"]
+            assert sum(row["share"] for row in layers.values()) == \
+                pytest.approx(1.0, abs=1e-9)
+            assert "cache" in layers and "sim" in layers
+            assert profile_doc["functions"]
+            assert all(row["layer"] in layers
+                       for row in profile_doc["functions"])
             # Host wall-clock stays out of the cross-process summary.
-            assert "buckets" not in summary["profile"]
-            assert "total_seconds" not in summary["profile"]
+            assert summary["profile"] == {"path": summary["profile"]["path"]}
 
     def test_diagnostics_only_session(self, tmp_path):
         settings = TelemetrySettings(diagnostics=True)
@@ -382,67 +388,79 @@ class TestMetricsSampler:
 
 
 # ----------------------------------------------------------------------
-# Self-profiler
+# Layer profile
 # ----------------------------------------------------------------------
-class TestSelfProfiler:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SelfProfiler(mode="turbo")
-        with pytest.raises(ValueError):
-            SelfProfiler(mode="sampling", sample_every=0)
-        assert SelfProfiler(mode="exact").sample_every == 1
+class TestLayerProfile:
+    def test_layer_grouping(self):
+        assert layer_of("/src/repro/cache/tags.py") == "cache"
+        assert layer_of("/src/repro/sweep/cache.py") == "result_cache"
+        assert layer_of("/src/repro/sweep/engine.py") == "sweep"
+        assert layer_of("C:\\src\\repro\\sim\\eventq.py") == "sim"
+        assert layer_of("~") == "python"
+        assert layer_of("/usr/lib/python3.11/json/decoder.py") == "python"
+        assert layer_of(json.__file__) == "python"
 
-    def test_bucket_accounting(self):
-        profiler = SelfProfiler(mode="sampling", sample_every=10)
-        profiler.record("dma", 0.001)
-        profiler.record("dma", 0.002)
-        profiler.record("link", 0.004)
-        table = profiler.table()
-        assert table[0]["bucket"] == "link"  # heaviest (stride-scaled)
-        assert table[0]["seconds"] == pytest.approx(0.04)
-        assert profiler.total_seconds == pytest.approx(0.07)
-        record = profiler.to_record()
-        assert record["mode"] == "sampling"
-        assert len(record["buckets"]) == 2
+    def test_profiled_sweep_records_equal(self, tmp_path):
+        plain = run_sweep(small_spec(), workers=1, cache=False)
+        activate(TelemetrySettings(trace_dir=str(tmp_path / "p"),
+                                   profile=True))
+        try:
+            profiled = run_sweep(small_spec(), workers=1, cache=False)
+        finally:
+            deactivate()
+        assert [o.record for o in plain.outcomes] == \
+            [o.record for o in profiled.outcomes]
+        assert len(list((tmp_path / "p").glob("*.profile.json"))) == \
+            len(profiled.outcomes)
 
-    def test_profiled_run_same_results(self):
-        def drive(profiler):
-            sim = Simulator()
-            if profiler is not None:
-                sim._profiler = profiler
-            state = {"fired": 0}
+    def test_refuses_nested_profile(self, tmp_path, capsys):
+        from repro.__main__ import main
 
-            def fire():
-                state["fired"] += 1
-                if state["fired"] < 50:
-                    sim.schedule(7, fire, name="train")
+        def outer_hook(frame, event, arg):
+            return None
 
-            sim.schedule(1, fire, name="train")
-            sim.run()
-            return sim.now, sim.events_executed, state["fired"]
+        sys.setprofile(outer_hook)
+        try:
+            with pytest.raises(SystemExit):
+                main(["sweep", "--name", "access-modes", "--size", "16",
+                      "--profile", "--no-cache",
+                      "--telemetry-dir", str(tmp_path / "t")])
+            err = capsys.readouterr().err
+            assert "--profile" in err and "outer_hook" in err
+            activate(TelemetrySettings(trace_dir=str(tmp_path / "e"),
+                                       profile=True))
+            with pytest.raises(RuntimeError, match="outer_hook"):
+                run_sweep(small_spec(), workers=1, cache=False)
+        finally:
+            sys.setprofile(None)
+        assert not (tmp_path / "t").exists()
+        assert not (tmp_path / "e").exists()
 
-        plain = drive(None)
-        profiler = SelfProfiler(mode="exact")
-        profiled = drive(profiler)
-        assert plain == profiled  # simulated results identical
-        assert profiler.events_seen == plain[1]
-        assert "train" in profiler.buckets
 
-    def test_profiled_run_until_idle(self):
-        sim = Simulator()
-        profiler = SelfProfiler(mode="exact")
-        sim._profiler = profiler
-        state = {"left": 20}
+    def test_summarize_reads_layer_profiles(self, tmp_path, capsys):
+        from repro.__main__ import main
 
-        def fire():
-            state["left"] -= 1
-            if state["left"]:
-                sim.schedule(3, fire, name="idle-train")
+        good = {
+            "total_s": 1.0,
+            "layers": {"python": {"seconds": 0.5, "share": 0.5},
+                       "cache": {"seconds": 0.3, "share": 0.3},
+                       "sim": {"seconds": 0.2, "share": 0.2}},
+            "functions": [],
+        }
+        (tmp_path / "aaaa.profile.json").write_text(json.dumps(good))
+        assert main(["telemetry", "summarize", "--dir", str(tmp_path)]) == 0
+        assert "cache (30%)" in capsys.readouterr().out
 
-        sim.schedule(1, fire, name="idle-train")
-        sim.run_until_idle(lambda: state["left"] <= 0)
-        assert state["left"] == 0
-        assert profiler.events_seen > 0
+        truncated = tmp_path / "bbbb.profile.json"
+        truncated.write_text(json.dumps(good)[:40])
+        with pytest.raises(SystemExit) as exc:
+            main(["telemetry", "summarize", "--dir", str(tmp_path)])
+        assert str(truncated) in str(exc.value)
+
+        truncated.write_text(json.dumps({"buckets": []}))
+        with pytest.raises(SystemExit) as exc:
+            main(["telemetry", "summarize", "--dir", str(tmp_path)])
+        assert str(truncated) in str(exc.value)
 
 
 # ----------------------------------------------------------------------
@@ -465,7 +483,7 @@ class TestDiagnostics:
         plain = run_gemm(config, SIZE, SIZE, SIZE)
         settings = TelemetrySettings(
             trace=True, trace_dir=str(tmp_path / "g"),
-            metrics_every=1_000_000, profile="exact", diagnostics=True,
+            metrics_every=1_000_000, profile=True, diagnostics=True,
         )
         activate(settings)
         try:
