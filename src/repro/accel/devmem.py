@@ -38,7 +38,8 @@ class DeviceMemory(TargetPort):
         DRAM preset for a bank-state model; mutually exclusive with
         ``simple_latency``/``simple_bandwidth``.
     ctrl_latency:
-        Fixed controller traversal cost added to every access.
+        Fixed controller traversal cost added to every access: the
+        memory sees each access ``ctrl_latency`` ticks after it was sent.
     """
 
     def __init__(
@@ -56,7 +57,7 @@ class DeviceMemory(TargetPort):
         self.range = range_
         self.ctrl_latency = ctrl_latency
         if timings is not None:
-            self.memory: TargetPort = DRAMController(
+            self.memory: DRAMController | SimpleMemory = DRAMController(
                 sim, f"{name}.dram", timings, range_, backing
             )
         else:
@@ -71,12 +72,16 @@ class DeviceMemory(TargetPort):
         self._accesses = self.stats.scalar("accesses", "controller accesses")
 
     def send(self, txn: Transaction, on_complete: CompletionFn) -> None:
-        self._accesses.inc()
-        # Direct sim.schedule: this adapter forwards every accelerator
-        # access in DevMem mode, so the SimObject shorthand hop matters.
-        memory_send = self.memory.send
-        self.sim.schedule(
-            self.ctrl_latency,
-            lambda: memory_send(txn, on_complete),
-            name=self.name,
-        )
+        addr = txn.addr
+        if not self.range.contains(addr):
+            raise ValueError(
+                f"{self.name}: address {addr:#x} outside {self.range}"
+            )
+        # Batched stat update (equivalent to inc(), one call fewer).
+        self._accesses.value += 1
+        self.stats.dirty = True
+        # No event for the controller hop: every access pays the same
+        # ctrl_latency, so handing the memory its arrival tick reaches
+        # the bank and port state in the same order a scheduled hop
+        # would, one event per access cheaper.
+        self.memory.send_at(self.sim.now + self.ctrl_latency, txn, on_complete)

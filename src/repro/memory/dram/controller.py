@@ -22,6 +22,7 @@ bandwidth-optimized controllers.  Channels interleave at burst granularity.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List, Optional
 
 from repro.memory.addr_range import AddrRange
@@ -97,7 +98,7 @@ class DRAMController(TargetPort):
         #: Channel interleave granularity: one burst, at least a cache line.
         self._interleave = max(64, t.burst_bytes)
         #: Hot-loop timing bundle: one attribute load + unpack in
-        #: _access_channel instead of eight attribute loads.
+        #: _walk instead of eight attribute loads.
         self._timing = (
             self._t_burst, self._t_cl, self._t_rcd, self._t_rp,
             self._t_ras, self._t_rc, self._t_rfc, self._t_refi,
@@ -107,10 +108,7 @@ class DRAMController(TargetPort):
             _Channel(self._num_banks, self._t_refi) for _ in range(t.channels)
         ]
         #: Striping memo: (offset % (interleave * channels), size) ->
-        #: relative channel pieces.  DMA traffic repeats a handful of
-        #: aligned segment shapes, so the division-heavy split loop runs
-        #: once per shape instead of once per transaction (the striping
-        #: arithmetic is a pure function of the phase and size).
+        #: relative channel pieces (see _split_pieces).
         self._split_memo: dict = {}
         self._split_period = self._interleave * t.channels
 
@@ -135,6 +133,17 @@ class DRAMController(TargetPort):
     # TargetPort interface
     # ------------------------------------------------------------------
     def send(self, txn: Transaction, on_complete: CompletionFn) -> None:
+        self.send_at(self.sim.now, txn, on_complete)
+
+    def send_at(self, at: int, txn: Transaction, on_complete: CompletionFn) -> None:
+        """Accept ``txn`` as if it had been sent at tick ``at`` (``>= now``).
+
+        A front-end with a constant traversal delay (the DevMem
+        controller) passes its arrival tick here instead of scheduling
+        an event to call :meth:`send` later: every access takes the same
+        delay, so accesses reach the bank state in the same order either
+        way.
+        """
         addr = txn.addr
         if not self.range.contains(addr):
             raise ValueError(
@@ -153,61 +162,39 @@ class DRAMController(TargetPort):
         self.stats.dirty = True
 
         offset = addr - self.range.start
-        arrive = self.sim.now + self._t_ctrl
-        finish = arrive
-        if len(self._channels) == 1:
-            finish = self._access_channel(0, offset, size, arrive)
-        else:
-            access = self._access_channel
-            pieces, shift = self._split_rebased(offset, size)
-            for ch_idx, local_addr, local_size in pieces:
-                done = access(ch_idx, local_addr + shift, local_size, arrive)
-                if done > finish:
-                    finish = done
-
+        period = self._split_period
+        base = offset // period
+        finish = self._walk(
+            self._split_pieces(offset - base * period, size),
+            base * self._interleave,
+            at + self._t_ctrl,
+        )
         if self.backing is not None:
             self._functional_access(txn)
-        self.sim.schedule_at(
-            finish, lambda: on_complete(txn), name=self.name
-        )
+        self.sim.schedule_at(finish, partial(on_complete, txn), name=self.name)
 
     # ------------------------------------------------------------------
     # Channel striping
     # ------------------------------------------------------------------
-    def _split_channels(self, offset: int, size: int) -> List[tuple[int, int, int]]:
+    def _split_pieces(self, phase: int, size: int) -> List[tuple[int, int, int]]:
         """Stripe a contiguous access across channels.
 
-        Returns ``(channel, channel_local_addr, bytes)`` per channel.  The
-        channel-local address is the global offset compressed by the channel
-        count, which preserves the stride/locality structure that the bank
-        and row mapping depend on.  Byte counts are exact: partial head and
-        tail blocks are charged only for the bytes actually touched.
+        Returns ``(channel, channel_local_addr, bytes)`` per channel for
+        an access at ``phase`` within one interleave period
+        (``interleave * channels`` bytes).  The channel-local address is
+        the offset compressed by the channel count, which preserves the
+        stride/locality structure that the bank and row mapping depend
+        on.  Byte counts are exact: partial head and tail blocks are
+        charged only for the bytes actually touched.  With one channel
+        the result is ``[(0, phase, size)]``.
 
-        The split depends on the offset only through its phase within one
-        interleave period (``interleave * channels`` bytes): shifting the
-        offset by a whole period shifts every channel-local address by one
-        interleave block and changes nothing else.  ``_split_pieces``
-        memoizes the per-phase result; ``_split_rebased`` computes the
-        phase and shift (``send`` consumes that form directly so the hot
-        loop skips this wrapper's list rebuild).
+        The split depends on the offset only through its phase: shifting
+        the offset by a whole period shifts every channel-local address
+        by one interleave block and changes nothing else, so
+        :meth:`send_at` passes that shift to :meth:`_walk` and the
+        division-heavy split runs once per (phase, size) shape.  DMA
+        traffic repeats a handful of aligned segment shapes.
         """
-        pieces, shift = self._split_rebased(offset, size)
-        return [
-            (ch, local_addr + shift, nbytes)
-            for ch, local_addr, nbytes in pieces
-        ]
-
-    def _split_rebased(self, offset: int, size: int):
-        """(memoized relative pieces, channel-local shift) for ``offset``."""
-        period = self._split_period
-        base = offset // period
-        return (
-            self._split_pieces(offset - base * period, size),
-            base * self._interleave,
-        )
-
-    def _split_pieces(self, phase: int, size: int) -> List[tuple[int, int, int]]:
-        """Memoized striping for one (phase, size) shape (see above)."""
         key = (phase, size)
         pieces = self._split_memo.get(key)
         if pieces is not None:
@@ -242,77 +229,80 @@ class DRAMController(TargetPort):
     # ------------------------------------------------------------------
     # Bank-state walk
     # ------------------------------------------------------------------
-    def _access_channel(self, ch_idx: int, addr: int, size: int, start: int) -> int:
-        """Walk ``[addr, addr+size)`` on one channel; return finish tick.
+    def _walk(self, pieces: List[tuple[int, int, int]], shift: int, start: int) -> int:
+        """Walk every channel piece from tick ``start``; return finish tick.
 
-        The timing constants and per-segment stat counts are bound to /
-        accumulated in locals: this method runs once per channel piece of
-        every memory transaction, which makes it the hottest pure-Python
-        loop in DRAM-bound sweeps.
+        ``pieces`` come from :meth:`_split_pieces`; ``shift`` rebases
+        their channel-local addresses.  The timing constants and stat
+        counts live in locals and the counters are written back once per
+        transaction: this is the hottest pure-Python loop in DRAM-bound
+        sweeps.
         """
-        channel = self._channels[ch_idx]
-        banks = channel.banks
+        channels = self._channels
         row_bytes = self._row_bytes
         burst_bytes = self._burst_bytes
         num_banks = self._num_banks
         t_burst, t_cl, t_rcd, t_rp, t_ras, t_rc, t_rfc, t_refi = self._timing
-        bus_free_at = channel.bus_free_at
-        next_refresh_at = channel.next_refresh_at
         row_hits = row_misses = bursts = refreshes = 0
         finish = start
-        pos = addr
-        end = addr + size
-        while pos < end:
-            block = pos // row_bytes
-            seg_end = (block + 1) * row_bytes
-            if seg_end > end:
-                seg_end = end
-            nbursts = -(-(seg_end - pos) // burst_bytes)
-            bank = banks[block % num_banks]
-            row = block // num_banks
+        for ch_idx, local_addr, size in pieces:
+            channel = channels[ch_idx]
+            banks = channel.banks
+            bus_free_at = channel.bus_free_at
+            next_refresh_at = channel.next_refresh_at
+            pos = local_addr + shift
+            end = pos + size
+            while pos < end:
+                block = pos // row_bytes
+                seg_end = (block + 1) * row_bytes
+                if seg_end > end:
+                    seg_end = end
+                nbursts = -(-(seg_end - pos) // burst_bytes)
+                bank = banks[block % num_banks]
+                row = block // num_banks
 
-            ready = bank.ready_at
-            if ready < start:
-                ready = start
-            if bank.open_row != row:
-                act_at = bank.act_at
-                if bank.open_row is not None:
-                    pre_at = act_at + t_ras
-                    if pre_at < ready:
-                        pre_at = ready
-                    ready = pre_at + t_rp
-                if act_at + t_rc > ready:
-                    act_at += t_rc
+                ready = bank.ready_at
+                if ready < start:
+                    ready = start
+                if bank.open_row != row:
+                    act_at = bank.act_at
+                    if bank.open_row is not None:
+                        pre_at = act_at + t_ras
+                        if pre_at < ready:
+                            pre_at = ready
+                        ready = pre_at + t_rp
+                    if act_at + t_rc > ready:
+                        act_at += t_rc
+                    else:
+                        act_at = ready
+                    bank.act_at = act_at
+                    bank.open_row = row
+                    ready = act_at + t_rcd
+                    row_misses += 1
+                    row_hits += nbursts - 1
                 else:
-                    act_at = ready
-                bank.act_at = act_at
-                bank.open_row = row
-                ready = act_at + t_rcd
-                row_misses += 1
-                row_hits += nbursts - 1
-            else:
-                row_hits += nbursts
+                    row_hits += nbursts
 
-            data_at = ready if ready > bus_free_at else bus_free_at
-            # Refresh blackout: catch up past any elapsed refresh windows.
-            while data_at >= next_refresh_at:
-                blocked = next_refresh_at + t_rfc
-                if blocked > data_at:
-                    refreshes += 1
-                else:
-                    blocked = data_at
-                data_at = blocked
-                next_refresh_at += t_refi
+                data_at = ready if ready > bus_free_at else bus_free_at
+                # Refresh blackout: catch up past any elapsed refresh windows.
+                while data_at >= next_refresh_at:
+                    blocked = next_refresh_at + t_rfc
+                    if blocked > data_at:
+                        refreshes += 1
+                    else:
+                        blocked = data_at
+                    data_at = blocked
+                    next_refresh_at += t_refi
 
-            done = data_at + nbursts * t_burst
-            bus_free_at = done
-            bank.ready_at = done
-            bursts += nbursts
-            if done + t_cl > finish:
-                finish = done + t_cl
-            pos = seg_end
-        channel.bus_free_at = bus_free_at
-        channel.next_refresh_at = next_refresh_at
+                done = data_at + nbursts * t_burst
+                bus_free_at = done
+                bank.ready_at = done
+                bursts += nbursts
+                if done + t_cl > finish:
+                    finish = done + t_cl
+                pos = seg_end
+            channel.bus_free_at = bus_free_at
+            channel.next_refresh_at = next_refresh_at
         self._row_hits.value += row_hits
         self._row_misses.value += row_misses
         self._bursts.value += bursts

@@ -9,6 +9,7 @@ its serialization finishes; back-to-back transactions pipeline.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
 from repro.memory.addr_range import AddrRange
@@ -61,6 +62,13 @@ class SimpleMemory(TargetPort):
         self._port_free_at = 0
 
     def send(self, txn: Transaction, on_complete: CompletionFn) -> None:
+        self.send_at(self.now, txn, on_complete)
+
+    def send_at(self, at: int, txn: Transaction, on_complete: CompletionFn) -> None:
+        """Accept ``txn`` as if it had been sent at tick ``at`` (``>= now``).
+
+        See :meth:`repro.memory.dram.DRAMController.send_at`.
+        """
         if not self.range.contains(txn.addr):
             raise ValueError(
                 f"{self.name}: address {txn.addr:#x} outside {self.range}"
@@ -73,14 +81,14 @@ class SimpleMemory(TargetPort):
             self._bytes_written.inc(txn.size)
 
         serialize = serialization_ticks(txn.size, self.bandwidth)
-        start = max(self.now, self._port_free_at)
+        start = max(at, self._port_free_at)
         self._port_free_at = start + serialize
         self._busy_ticks.inc(serialize)
         done = start + serialize + self.latency
 
         if self.backing is not None:
             self._functional_access(txn)
-        self.schedule_at(done, lambda: on_complete(txn))
+        self.schedule_at(done, partial(on_complete, txn))
 
     def _functional_access(self, txn: Transaction) -> None:
         """Move payload bytes to/from the backing store."""

@@ -82,8 +82,82 @@ GOLDEN_GEMM_PCIE8_64_STATS = {
     "system.smmu.translations": 2304,
 }
 
-#: Seed-tree values for one DevMem GEMM and one tiny-ViT inference.
+#: Seed-tree ticks for one DevMem GEMM
+#: (``run_gemm(SystemConfig.devmem_system(), 64, 64, 64)``).
 GOLDEN_GEMM_DEVMEM_64_TICKS = 18926000
+
+#: The same DevMem run on a fresh system.  Stats captured at commit
+#: 7bd36d1, the last tree that scheduled one controller-hop event per
+#: device-memory access; the ticks are the seed tree's.  That tree
+#: executed 130 events: folding the hop into the arrival tick removes
+#: exactly one event per access (48), and changes nothing else.
+GOLDEN_GEMM_DEVMEM_64_EVENTS = 82
+GOLDEN_GEMM_DEVMEM_64_STATS = {
+    "system.accel.dma.bytes_read": 131072,
+    "system.accel.dma.bytes_written": 16384,
+    "system.accel.dma.descriptors": 48,
+    "system.accel.dma.segment_ticks.count": 48,
+    "system.accel.dma.segment_ticks.mean": 184291.66666666666,
+    "system.accel.dma.segments": 48,
+    "system.accel.sa.busy_ticks": 16384000,
+    "system.accel.sa.idle_ticks": 0,
+    "system.accel.sa.macs": 262144,
+    "system.accel.sa.tiles": 16,
+    "system.iocache.accesses": 0,
+    "system.iocache.evictions": 0,
+    "system.iocache.hits": 0,
+    "system.iocache.invalidations": 0,
+    "system.iocache.misses": 0,
+    "system.iocache.writebacks": 0,
+    "system.llc.accesses": 0,
+    "system.llc.evictions": 0,
+    "system.llc.hits": 0,
+    "system.llc.invalidations": 0,
+    "system.llc.misses": 0,
+    "system.llc.writebacks": 0,
+    "system.mem_ctrl.bursts": 0,
+    "system.mem_ctrl.bytes": 0,
+    "system.mem_ctrl.bytes_read": 0,
+    "system.mem_ctrl.bytes_written": 0,
+    "system.mem_ctrl.reads": 0,
+    "system.mem_ctrl.refresh_stalls": 0,
+    "system.mem_ctrl.row_hits": 0,
+    "system.mem_ctrl.row_misses": 0,
+    "system.mem_ctrl.writes": 0,
+    "system.membus.bytes": 0,
+    "system.membus.snoop_invalidations": 0,
+    "system.membus.transactions": 0,
+    "system.membus.unrouted": 0,
+    "system.pcie.down.busy_ticks": 132000,
+    "system.pcie.down.payload_bytes": 48,
+    "system.pcie.down.tlps": 9,
+    "system.pcie.down.wire_bytes": 264,
+    "system.pcie.up.busy_ticks": 0,
+    "system.pcie.up.payload_bytes": 0,
+    "system.pcie.up.tlps": 0,
+    "system.pcie.up.wire_bytes": 0,
+    "system.smmu.page_faults": 0,
+    "system.smmu.ptw_cycles.count": 0,
+    "system.smmu.ptw_cycles.mean": 0.0,
+    "system.smmu.stall_ticks": 0,
+    "system.smmu.trans_cycles.count": 0,
+    "system.smmu.trans_cycles.mean": 0.0,
+    "system.smmu.translations": 0,
+}
+GOLDEN_GEMM_DEVMEM_64_DEVMEM_STATS = {
+    "system.devmem.accesses": 48,
+    "system.devmem.dram.bursts": 2304,
+    "system.devmem.dram.bytes": 147456,
+    "system.devmem.dram.bytes_read": 131072,
+    "system.devmem.dram.bytes_written": 16384,
+    "system.devmem.dram.reads": 32,
+    "system.devmem.dram.refresh_stalls": 6,
+    "system.devmem.dram.row_hits": 2280,
+    "system.devmem.dram.row_misses": 24,
+    "system.devmem.dram.writes": 16,
+}
+
+#: Seed-tree values for one tiny-ViT inference.
 GOLDEN_VIT_TINY_PCIE2 = {
     "total_ticks": 869144473,
     "gemm_ticks": 805464473,
@@ -152,6 +226,18 @@ class TestGoldenValues:
     def test_gemm_devmem_matches_seed_capture(self):
         result = run_gemm(SystemConfig.devmem_system(), 64, 64, 64)
         assert result.ticks == GOLDEN_GEMM_DEVMEM_64_TICKS
+        assert result.component_stats == GOLDEN_GEMM_DEVMEM_64_STATS
+
+        from repro.core.system import AcceSysSystem
+
+        system = AcceSysSystem(SystemConfig.devmem_system())
+        fresh = GemmRunner().drive(system, m=64, k=64, n=64)
+        assert fresh.ticks == GOLDEN_GEMM_DEVMEM_64_TICKS
+        assert fresh.component_stats == GOLDEN_GEMM_DEVMEM_64_STATS
+        assert system.sim.events_executed == GOLDEN_GEMM_DEVMEM_64_EVENTS
+        devmem_stats = dict(system.devmem.stats.flatten())
+        devmem_stats.update(system.devmem.memory.stats.flatten())
+        assert devmem_stats == GOLDEN_GEMM_DEVMEM_64_DEVMEM_STATS
 
     def test_vit_tiny_matches_seed_capture(self):
         tiny = ViTConfig("tiny", hidden=64, layers=1, heads=4,
