@@ -581,45 +581,9 @@ def cmd_surrogate(args) -> int:
 # ----------------------------------------------------------------------
 # orchestrate
 # ----------------------------------------------------------------------
-def _orchestrate_backend(args):
-    """Build the requested worker backend from CLI arguments."""
-    from repro.orchestrate import LocalBackend, SlurmBackend, SSHBackend
-
-    if args.backend == "local":
-        return LocalBackend(workers=args.workers,
-                            inner_workers=args.inner_workers)
-    if args.backend == "ssh":
-        hosts = [h.strip() for h in (args.hosts or "").split(",")
-                 if h.strip()]
-        if not hosts:
-            raise SystemExit("--backend ssh requires --hosts a,b,c")
-        return SSHBackend(
-            hosts=hosts,
-            workers_per_host=args.workers_per_host,
-            remote_python=args.remote_python,
-            remote_prelude=args.remote_prelude,
-            inner_workers=args.inner_workers,
-        )
-    return SlurmBackend(
-        workers=args.workers,
-        partition=args.slurm_partition,
-        time_limit=args.slurm_time,
-        remote_python=args.remote_python,
-        remote_prelude=args.remote_prelude,
-        submit=args.submit,
-        inner_workers=args.inner_workers,
-    )
-
-
-def _backend_slots(args) -> int:
-    if args.backend == "ssh":
-        hosts = [h for h in (args.hosts or "").split(",") if h.strip()]
-        return max(1, len(hosts)) * max(1, args.workers_per_host)
-    return max(1, args.workers)
-
-
 def cmd_orchestrate(args) -> int:
     from repro.orchestrate import (
+        LocalBackend,
         OrchestrationError,
         VersionMismatchError,
         orchestrate_run,
@@ -636,7 +600,8 @@ def cmd_orchestrate(args) -> int:
         return run_worker(args.worker, worker_id=args.worker_id,
                           inner_workers=args.inner_workers)
 
-    backend = _orchestrate_backend(args)
+    backend = LocalBackend(workers=args.workers,
+                           inner_workers=args.inner_workers)
     try:
         if args.resume:
             payload = resume_run(
@@ -676,24 +641,13 @@ def cmd_orchestrate(args) -> int:
                 run_dir = (_Path(cache_dir) / "runs"
                            / f"orch-{stamp}-{os.getpid()}")
             shards = (args.shards if args.shards
-                      else max(2, 2 * _backend_slots(args)))
+                      else max(2, 2 * backend.workers))
             prepare_run(
                 run_dir, sweeps, cache_dir, shards,
                 lease_ttl=args.lease_ttl,
                 extra_imports=args.extra_import,
             )
             print(f"run dir: {run_dir}", file=sys.stderr)
-            if args.backend == "slurm" and not args.submit:
-                # Script-only mode: hand the batch file to the user's
-                # submission wrapper, then --resume polls it home.
-                backend.launch(run_dir)
-                print(
-                    f"wrote {run_dir}/sbatch.sh -- submit it "
-                    f"(sbatch {run_dir}/sbatch.sh), then run\n"
-                    f"  python -m repro orchestrate --resume {run_dir} "
-                    f"--backend slurm"
-                )
-                return 0
             payload = orchestrate_run(
                 run_dir, backend,
                 poll_interval=args.poll_interval,
@@ -1093,8 +1047,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_orch = sub.add_parser(
         "orchestrate",
-        help="run a sweep as shard work units across many workers "
-             "(local pool, ssh hosts, or slurm); see docs/ORCHESTRATION.md",
+        help="run a sweep as shard work units across a local worker "
+             "pool; see docs/ORCHESTRATION.md",
     )
     p_orch.add_argument("--name", action="append", default=None,
                         help="registered experiment to orchestrate "
@@ -1108,33 +1062,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_orch.add_argument("--dim-scale", type=float, default=None,
                         help="ViT dim-scale override "
                              "(if the sweep takes one)")
-    p_orch.add_argument("--backend", choices=["local", "ssh", "slurm"],
-                        default="local",
-                        help="where shard workers run (default: local)")
     p_orch.add_argument("--workers", type=int, default=2,
-                        help="worker count (local pool size / slurm "
-                             "array width; default 2)")
-    p_orch.add_argument("--hosts", default=None,
-                        help="ssh backend: comma-separated host list "
-                             "(shared filesystem + same tree required)")
-    p_orch.add_argument("--workers-per-host", type=int, default=1,
-                        help="ssh backend: workers per host (default 1)")
-    p_orch.add_argument("--remote-python", default="python3",
-                        help="ssh/slurm: interpreter on the remote side")
-    p_orch.add_argument("--remote-prelude", default="",
-                        help="ssh/slurm: shell fragment run before the "
-                             "worker (e.g. 'cd /repo && export "
-                             "PYTHONPATH=src')")
-    p_orch.add_argument("--slurm-partition", default="",
-                        help="slurm: partition for the array job")
-    p_orch.add_argument("--slurm-time", default="04:00:00",
-                        help="slurm: per-task time limit")
-    p_orch.add_argument("--submit", action="store_true",
-                        help="slurm: sbatch the generated script and "
-                             "poll it (default: write script and exit)")
+                        help="worker pool size (default 2)")
     p_orch.add_argument("--shards", type=int, default=None,
-                        help="work-unit count N (default: 2x worker "
-                             "slots)")
+                        help="work-unit count N (default: 2x "
+                             "--workers)")
     p_orch.add_argument("--run-dir", default=None,
                         help="run directory (manifest, leases, report; "
                              "default: <cache-dir>/runs/orch-<stamp>)")
@@ -1160,7 +1092,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="module imported on workers before specs "
                              "are rebuilt (for user-registered sweeps)")
     p_orch.add_argument("--worker", default=None, metavar="RUN_DIR",
-                        help=argparse.SUPPRESS)  # spawned by backends
+                        help=argparse.SUPPRESS)  # spawned by the worker pool
     p_orch.add_argument("--worker-id", default=None,
                         help=argparse.SUPPRESS)
     p_orch.add_argument("--inner-workers", type=int, default=1,

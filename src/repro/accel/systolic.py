@@ -125,11 +125,6 @@ class SystolicArray(ClockedObject):
         self.schedule_at(done, on_done)
         return done
 
-    @property
-    def free_at(self) -> int:
-        """Tick at which the array next becomes idle."""
-        return max(self._free_at, self.now)
-
     # ------------------------------------------------------------------
     # Functional model
     # ------------------------------------------------------------------

@@ -13,8 +13,7 @@ configuration reuses the already-wired :class:`AcceSysSystem` after an
 explicit :meth:`~repro.core.system.AcceSysSystem.reset`, which restores
 bit-identical pristine state.  This removes the system-construction cost
 that dominates small-GEMM sweep grids (tag stores alone are tens of
-thousands of objects).  Set ``REPRO_SYSTEM_MEMO=0`` to always build
-fresh systems.
+thousands of objects).
 
 ``run_vit`` walks a ViT op graph op by op: GEMMs dispatch to the
 accelerator, non-GEMM operators to the CPU, with tensors placed in host
@@ -30,7 +29,6 @@ second-order effect on identical layers.
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
@@ -153,18 +151,12 @@ class ViTResult:
 # ----------------------------------------------------------------------
 # Memoized system factory
 # ----------------------------------------------------------------------
-#: Environment kill switch: ``REPRO_SYSTEM_MEMO=0`` builds fresh systems.
-SYSTEM_MEMO_ENV = "REPRO_SYSTEM_MEMO"
 #: Retained systems per process (LRU).  Grids usually cycle through a
 #: handful of configurations; unbounded retention would pin every tag
 #: store of a many-config sweep in memory.
 SYSTEM_MEMO_CAPACITY = 8
 
 _system_memo: "OrderedDict[str, AcceSysSystem]" = OrderedDict()
-
-
-def system_memo_enabled() -> bool:
-    return os.environ.get(SYSTEM_MEMO_ENV, "1") != "0"
 
 
 def clear_system_memo() -> None:
@@ -190,10 +182,6 @@ def system_for(config: SystemConfig) -> AcceSysSystem:
     """
     from repro.telemetry.state import on_system_acquired
 
-    if not system_memo_enabled():
-        system = AcceSysSystem(config)
-        on_system_acquired(system)
-        return system
     key = config.stable_hash()
     system = _system_memo.get(key)
     if system is not None:

@@ -7,13 +7,11 @@ This package adds the machinery that makes it *operational*:
 
 * :func:`~repro.orchestrate.dispatcher.prepare_run` /
   :func:`~repro.orchestrate.dispatcher.orchestrate_run` -- split named
-  sweeps into shard work units, launch workers on a pluggable backend,
+  sweeps into shard work units, launch workers from a local pool,
   poll the shared cache and the shard ledger, reassign dead workers,
   merge per-shard outcomes into one verified report.
-* :class:`~repro.orchestrate.backends.LocalBackend` /
-  :class:`~repro.orchestrate.backends.SSHBackend` /
-  :class:`~repro.orchestrate.backends.SlurmBackend` -- where workers
-  actually run.
+* :class:`~repro.orchestrate.backends.LocalBackend` -- the pool of
+  worker subprocesses on this machine.
 * :mod:`~repro.orchestrate.lease` -- heartbeat/lease files giving every
   shard crash-evident state on a shared filesystem.
 * :mod:`~repro.orchestrate.manifest` -- the run manifest pinning sweep
@@ -27,8 +25,6 @@ CLI: ``python -m repro orchestrate`` (see docs/ORCHESTRATION.md).
 
 from repro.orchestrate.backends import (
     LocalBackend,
-    SlurmBackend,
-    SSHBackend,
     worker_command,
 )
 from repro.orchestrate.dispatcher import (
@@ -61,8 +57,6 @@ from repro.orchestrate.worker import (
 
 __all__ = [
     "LocalBackend",
-    "SSHBackend",
-    "SlurmBackend",
     "worker_command",
     "prepare_run",
     "orchestrate_run",

@@ -1,30 +1,18 @@
-"""Pluggable worker-launch backends for the orchestrator.
+"""The local worker pool that runs the orchestrator's shard workers.
 
 A backend's only job is to get ``python -m repro orchestrate --worker
-<run-dir>`` processes running somewhere; all coordination (claims,
-leases, results) happens through the shared run directory and cache, so
-backends never carry protocol state.  Three are provided:
+<run-dir>`` processes running; all coordination (claims, leases,
+results) happens through the shared run directory and cache, so the
+backend never carries protocol state.  :class:`LocalBackend` is a pool
+of subprocesses on this machine (also what CI smoke-tests).
 
-* :class:`LocalBackend` -- a pool of subprocesses on this machine (the
-  default; also what CI smoke-tests).
-* :class:`SSHBackend` -- ``ssh`` into a host list, N workers per host.
-  Hosts must share the run/cache directories (NFS or equivalent) and
-  have the same tree checked out -- the manifest's code digest enforces
-  the "same tree" part by refusing mismatched workers.
-* :class:`SlurmBackend` -- generates an ``sbatch`` array-job script (one
-  worker per array task) into the run directory; submission is optional
-  so sites can route it through their own wrappers.
-
-Backends expose liveness (``dead_owners``) where they can observe it so
-the dispatcher can reassign a crashed worker's shard *before* its lease
-TTL expires; Slurm can't observe task death from the login node, so
-there the TTL is the only detector (set it generously).
+The pool exposes liveness (``dead_owners``) so the dispatcher can
+reassign a crashed worker's shard *before* its lease TTL expires.
 """
 
 from __future__ import annotations
 
 import os
-import shlex
 import subprocess
 import sys
 import time
@@ -48,12 +36,11 @@ SPAWN_BACKOFF_SECONDS = 0.05
 def worker_command(
     run_dir: os.PathLike,
     worker_id: str,
-    python: str = "",
     inner_workers: Optional[int] = 1,
 ) -> List[str]:
     """The argv that runs one shard worker against ``run_dir``."""
     cmd = [
-        python or sys.executable, "-m", "repro", "orchestrate",
+        sys.executable, "-m", "repro", "orchestrate",
         "--worker", str(run_dir), "--worker-id", worker_id,
     ]
     if inner_workers is not None:
@@ -73,16 +60,26 @@ def _worker_env() -> dict:
     return env
 
 
-class _ProcessBackend:
-    """Shared machinery for backends that hold Popen handles."""
+class LocalBackend:
+    """A pool of worker subprocesses on the local machine."""
 
-    def __init__(self) -> None:
+    def __init__(self, workers: int = 2,
+                 inner_workers: Optional[int] = 1,
+                 max_spawns: Optional[int] = None) -> None:
+        self.workers = max(1, int(workers))
+        self.inner_workers = inner_workers
+        #: Respawn budget: a crash-looping tree must not fork forever.
+        self.max_spawns = (max_spawns if max_spawns is not None
+                           else 4 * self.workers)
         self._procs: Dict[str, subprocess.Popen] = {}
         self._spawned = 0
         self._logs: List = []
         #: Launch attempts that failed transiently and were retried;
         #: surfaced in the run report's provenance.
         self.spawn_retries = 0
+
+    def describe(self) -> str:
+        return f"local pool ({self.workers} workers)"
 
     # -- liveness ------------------------------------------------------
     def live_owners(self) -> Set[str]:
@@ -105,7 +102,7 @@ class _ProcessBackend:
         anything (wrong tree, broken interpreter) must not poll
         forever in silence.
         """
-        return (self._spawned >= getattr(self, "max_spawns", 0)
+        return (self._spawned >= self.max_spawns
                 and self.live_count() == 0)
 
     # -- lifecycle -----------------------------------------------------
@@ -157,23 +154,6 @@ class _ProcessBackend:
             except OSError:
                 pass
 
-
-class LocalBackend(_ProcessBackend):
-    """A pool of worker subprocesses on the local machine."""
-
-    def __init__(self, workers: int = 2,
-                 inner_workers: Optional[int] = 1,
-                 max_spawns: Optional[int] = None) -> None:
-        super().__init__()
-        self.workers = max(1, int(workers))
-        self.inner_workers = inner_workers
-        #: Respawn budget: a crash-looping tree must not fork forever.
-        self.max_spawns = (max_spawns if max_spawns is not None
-                           else 4 * self.workers)
-
-    def describe(self) -> str:
-        return f"local pool ({self.workers} workers)"
-
     def _spawn(self, run_dir) -> None:
         worker_id = f"local-w{self._spawned}-{os.getpid()}"
         cmd = worker_command(run_dir, worker_id,
@@ -190,178 +170,3 @@ class LocalBackend(_ProcessBackend):
                and self._spawned < self.max_spawns):
             self._spawn(run_dir)
             pending -= 1
-
-
-class SSHBackend(_ProcessBackend):
-    """Workers launched over ``ssh`` onto a host list.
-
-    ``remote_prelude`` is a shell fragment run before the worker command
-    on each host (e.g. ``cd /shared/repo && export PYTHONPATH=src``);
-    ``remote_python`` names the interpreter there.  The run and cache
-    directories must resolve on every host (shared filesystem).
-    """
-
-    def __init__(
-        self,
-        hosts: Sequence[str],
-        workers_per_host: int = 1,
-        remote_python: str = "python3",
-        remote_prelude: str = "",
-        ssh_options: Sequence[str] = ("-o", "BatchMode=yes"),
-        inner_workers: Optional[int] = 1,
-        max_spawns: Optional[int] = None,
-    ) -> None:
-        super().__init__()
-        if not hosts:
-            raise ValueError("ssh backend needs at least one host")
-        self.hosts = list(hosts)
-        self.workers_per_host = max(1, int(workers_per_host))
-        self.remote_python = remote_python
-        self.remote_prelude = remote_prelude
-        self.ssh_options = list(ssh_options)
-        self.inner_workers = inner_workers
-        total = len(self.hosts) * self.workers_per_host
-        self.max_spawns = (max_spawns if max_spawns is not None
-                           else 4 * total)
-
-    def describe(self) -> str:
-        return (f"ssh ({len(self.hosts)} hosts x "
-                f"{self.workers_per_host} workers)")
-
-    def command(self, host: str, run_dir, worker_id: str) -> List[str]:
-        """The full ``ssh`` argv for one remote worker (testable)."""
-        remote = " ".join(
-            shlex.quote(part) for part in worker_command(
-                run_dir, worker_id, python=self.remote_python,
-                inner_workers=self.inner_workers,
-            )
-        )
-        if self.remote_prelude:
-            remote = f"{self.remote_prelude} && {remote}"
-        return ["ssh", *self.ssh_options, host, remote]
-
-    def _spawn(self, run_dir, host: str) -> None:
-        worker_id = f"ssh-{host}-w{self._spawned}"
-        self._spawn_proc(
-            run_dir, self.command(host, run_dir, worker_id), worker_id,
-            env=dict(os.environ),
-        )
-
-    def launch(self, run_dir) -> None:
-        for host in self.hosts:
-            for _ in range(self.workers_per_host):
-                self._spawn(run_dir, host)
-
-    def maintain(self, run_dir, pending: int) -> None:
-        total = len(self.hosts) * self.workers_per_host
-        while (pending > 0 and self.live_count() < total
-               and self._spawned < self.max_spawns):
-            host = self.hosts[self._spawned % len(self.hosts)]
-            self._spawn(run_dir, host)
-            pending -= 1
-
-
-class SlurmBackend:
-    """``sbatch`` array-job script generator (submission optional).
-
-    ``launch`` writes ``<run-dir>/sbatch.sh`` -- one array task per
-    worker slot, each running the standard worker loop -- and submits it
-    only when ``submit=True``.  Liveness is TTL-only: the dispatcher
-    cannot see Slurm task death, so set ``lease_ttl`` well above a
-    point's simulation time.
-    """
-
-    SCRIPT_NAME = "sbatch.sh"
-
-    def __init__(
-        self,
-        workers: int = 4,
-        partition: str = "",
-        time_limit: str = "04:00:00",
-        remote_python: str = "python3",
-        remote_prelude: str = "",
-        submit: bool = False,
-        inner_workers: Optional[int] = 1,
-    ) -> None:
-        self.workers = max(1, int(workers))
-        self.partition = partition
-        self.time_limit = time_limit
-        self.remote_python = remote_python
-        self.remote_prelude = remote_prelude
-        self.submit = submit
-        self.inner_workers = inner_workers
-        self.job_id: str = ""
-        #: Slurm submission is one sbatch call, not per-worker spawns;
-        #: the attribute exists so provenance reporting is uniform.
-        self.spawn_retries = 0
-
-    def describe(self) -> str:
-        mode = "submitted" if self.submit else "script only"
-        return f"slurm array ({self.workers} tasks, {mode})"
-
-    def script(self, run_dir) -> str:
-        """The sbatch script text for this run (testable)."""
-        run_dir = Path(run_dir)
-        worker = " ".join(
-            shlex.quote(part) for part in worker_command(
-                run_dir, "slurm-${SLURM_ARRAY_JOB_ID}-${SLURM_ARRAY_TASK_ID}",
-                python=self.remote_python,
-                inner_workers=self.inner_workers,
-            )
-        )
-        # The worker id embeds shell variables on purpose; undo the
-        # quoting shlex applied to the ${...} references.
-        worker = worker.replace(
-            "'slurm-${SLURM_ARRAY_JOB_ID}-${SLURM_ARRAY_TASK_ID}'",
-            '"slurm-${SLURM_ARRAY_JOB_ID}-${SLURM_ARRAY_TASK_ID}"',
-        )
-        lines = [
-            "#!/bin/bash",
-            "#SBATCH --job-name=repro-orchestrate",
-            f"#SBATCH --array=0-{self.workers - 1}",
-            f"#SBATCH --time={self.time_limit}",
-            f"#SBATCH --output={run_dir / WORKERS_SUBDIR}/slurm-%A_%a.log",
-        ]
-        if self.partition:
-            lines.append(f"#SBATCH --partition={self.partition}")
-        lines += [
-            "",
-            "set -euo pipefail",
-        ]
-        if self.remote_prelude:
-            lines.append(self.remote_prelude)
-        lines += [worker, ""]
-        return "\n".join(lines)
-
-    def launch(self, run_dir) -> None:
-        run_dir = Path(run_dir)
-        (run_dir / WORKERS_SUBDIR).mkdir(parents=True, exist_ok=True)
-        script_path = run_dir / self.SCRIPT_NAME
-        script_path.write_text(self.script(run_dir), encoding="utf-8")
-        script_path.chmod(0o755)
-        if self.submit:
-            out = subprocess.run(
-                ["sbatch", "--parsable", str(script_path)],
-                check=True, capture_output=True, text=True,
-            )
-            self.job_id = out.stdout.strip().split(";")[0]
-
-    # Slurm gives the login node no cheap liveness signal; the lease
-    # TTL is the detector, and the dispatcher must keep polling even
-    # with zero observable workers (array tasks may still be queued).
-    def dead_owners(self) -> Set[str]:
-        return set()
-
-    def live_count(self) -> int:
-        return self.workers if self.submit else 0
-
-    def exhausted(self) -> bool:
-        return False
-
-    def maintain(self, run_dir, pending: int) -> None:
-        pass
-
-    def shutdown(self) -> None:
-        if self.submit and self.job_id:
-            subprocess.run(["scancel", self.job_id], check=False,
-                           capture_output=True)

@@ -190,7 +190,7 @@ def _poll_until_done(
         if all(lease.state == DONE for lease in leases.values()):
             return leases
         backend.maintain(run_dir, pending)
-        if pending > 0 and getattr(backend, "exhausted", lambda: False)():
+        if pending > 0 and backend.exhausted():
             raise OrchestrationError(
                 f"{pending} shard(s) still pending but the backend's "
                 f"worker/respawn budget is spent and no worker is "
@@ -223,7 +223,7 @@ def _merge_and_verify(
     manifest: RunManifest,
     specs,
     leases: Dict[int, ShardLease],
-    backend=None,
+    backend,
 ) -> dict:
     """Merge shard records, cross-check against a cached serial replay,
     write and return the combined ``report.json`` payload."""
@@ -297,8 +297,8 @@ def _merge_and_verify(
         #: worker lost a race with cache eviction; always reported.
         "replay_simulated": replay_simulated,
         #: Transiently failed worker launches the backend retried
-        #: (see repro.orchestrate.backends._ProcessBackend._spawn_proc).
-        "spawn_retries": int(getattr(backend, "spawn_retries", 0) or 0),
+        #: (see repro.orchestrate.backends.LocalBackend._spawn_proc).
+        "spawn_retries": backend.spawn_retries,
         "shard_provenance": [
             {
                 "index": lease.index,
@@ -357,8 +357,7 @@ def orchestrate_run(
         )
     finally:
         backend.shutdown()
-    payload = _merge_and_verify(run_dir, manifest, specs, leases,
-                                backend=backend)
+    payload = _merge_and_verify(run_dir, manifest, specs, leases, backend)
     log(f"merged report written to {run_dir / REPORT_NAME} "
         f"({payload['simulated_points']} simulated, "
         f"{payload['replayed_points']} replayed from cache)")

@@ -47,7 +47,7 @@ class TelemetryRuntime:
             SpanTracer() if settings.trace else None
         )
         self.metrics: Optional[MetricsSampler] = (
-            MetricsSampler(settings.metrics_every, settings.metrics_capacity)
+            MetricsSampler(settings.metrics_every)
             if settings.metrics_every is not None
             else None
         )

@@ -55,8 +55,6 @@ class TelemetrySettings:
     trace_dir: Optional[str] = None
     #: Sample StatGroup deltas every N simulated ticks (None disables).
     metrics_every: Optional[int] = None
-    #: Ring-buffer capacity of the metrics sampler (samples retained).
-    metrics_capacity: int = 4096
     #: Take a cProfile layer profile of each simulated point
     #: (``<key_hash>.profile.json``; see repro.telemetry.profiler).
     profile: bool = False
@@ -77,7 +75,6 @@ class TelemetrySettings:
             "trace": self.trace,
             "trace_dir": self.trace_dir,
             "metrics_every": self.metrics_every,
-            "metrics_capacity": self.metrics_capacity,
             "profile": self.profile,
             "diagnostics": self.diagnostics,
         }
@@ -88,7 +85,6 @@ class TelemetrySettings:
             trace=bool(payload.get("trace", False)),
             trace_dir=payload.get("trace_dir"),
             metrics_every=payload.get("metrics_every"),
-            metrics_capacity=int(payload.get("metrics_capacity", 4096)),
             profile=bool(payload.get("profile", False)),
             diagnostics=bool(payload.get("diagnostics", False)),
         )

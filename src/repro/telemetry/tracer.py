@@ -22,9 +22,10 @@ Zero overhead when off
 the instrumented components do not even pay a call to it: their hook
 attributes (``link.trace``, ``dma.trace``) default to ``None`` exactly
 like the fault layer's ``link.faults``, so the disabled path costs one
-``is None`` test co-located with an existing branch -- and the
-:class:`~repro.sim.eventq.Simulator` run loops dispatch to an
-instrumented variant *at entry*, leaving the hot loop untouched.
+``is None`` test co-located with an existing branch.  The
+:class:`~repro.sim.eventq.Simulator` has no instrumented loop variant:
+``run`` and ``run_until_idle`` are its only loops, and the metrics
+sampler rides them as ordinary scheduled events.
 """
 
 from __future__ import annotations
@@ -158,11 +159,6 @@ class SpanTracer:
             "traceEvents": self.chrome_events(),
         }
         return json.dumps(document, sort_keys=True, separators=(",", ":"))
-
-    def write_chrome(self, path) -> None:
-        """Write the trace document to ``path`` (UTF-8, byte-stable)."""
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_chrome_json())
 
 
 def validate_chrome_trace(document: dict) -> List[str]:

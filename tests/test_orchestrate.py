@@ -1,4 +1,4 @@
-"""Distributed sweep orchestration: leases, backends, crash recovery,
+"""Distributed sweep orchestration: leases, the worker pool, crash recovery,
 merge bit-identity, and ResultCache concurrent-writer safety.
 
 The subprocess tests launch real ``python -m repro orchestrate
@@ -26,8 +26,6 @@ from repro.orchestrate import (
     OrchestrationError,
     RunManifest,
     ShardLease,
-    SlurmBackend,
-    SSHBackend,
     VersionMismatchError,
     expire_lease,
     orchestrate_run,
@@ -220,30 +218,13 @@ class TestLeases:
 
 
 # ----------------------------------------------------------------------
-# Backends: command generation (no remote infrastructure needed)
+# The worker pool: command shape and spawn retry
 # ----------------------------------------------------------------------
 class TestBackends:
     def test_worker_command_shape(self):
         cmd = worker_command("/runs/r1", "w7")
         assert cmd[1:5] == ["-m", "repro", "orchestrate", "--worker"]
         assert "/runs/r1" in cmd and "w7" in cmd
-
-    def test_ssh_command_includes_prelude_and_host(self):
-        backend = SSHBackend(
-            hosts=["node-a", "node-b"], workers_per_host=2,
-            remote_python="python3.12",
-            remote_prelude="cd /shared/repo && export PYTHONPATH=src",
-        )
-        cmd = backend.command("node-a", "/shared/runs/r1", "w0")
-        assert cmd[0] == "ssh" and "node-a" in cmd
-        remote = cmd[-1]
-        assert remote.startswith("cd /shared/repo")
-        assert "python3.12" in remote and "--worker" in remote
-        assert backend.describe() == "ssh (2 hosts x 2 workers)"
-
-    def test_ssh_requires_hosts(self):
-        with pytest.raises(ValueError, match="host"):
-            SSHBackend(hosts=[])
 
     def test_spawn_retries_transient_errors_with_deterministic_backoff(
         self, tmp_path, monkeypatch
@@ -296,19 +277,6 @@ class TestBackends:
             backend._spawn_proc(tmp_path, ["worker"], "w0", env={})
         assert len(attempts) == backends_mod.SPAWN_RETRY_LIMIT
         assert backend.spawn_retries == backends_mod.SPAWN_RETRY_LIMIT - 1
-
-    def test_slurm_script_is_an_array_job(self, tmp_path):
-        backend = SlurmBackend(workers=5, partition="batch",
-                               remote_prelude="module load python")
-        backend.launch(tmp_path)
-        script = (tmp_path / "sbatch.sh").read_text()
-        assert "#SBATCH --array=0-4" in script
-        assert "#SBATCH --partition=batch" in script
-        assert "module load python" in script
-        assert "--worker" in script and str(tmp_path) in script
-        # Script-only mode holds no liveness claims.
-        assert backend.dead_owners() == set()
-        assert backend.live_count() == 0
 
 
 # ----------------------------------------------------------------------
@@ -605,6 +573,8 @@ class TestCrashRecovery:
                     tmp_path / "cache", shards=1, lease_ttl=0.2)
 
         class NoWorkers:
+            spawn_retries = 0
+
             def describe(self):
                 return "black hole"
 
@@ -623,6 +593,11 @@ class TestCrashRecovery:
 
             def dead_owners(self):
                 return set()
+
+            def exhausted(self):
+                # No pool, so no respawn budget: the attempt limit
+                # is what must trip.
+                return False
 
             def shutdown(self):
                 pass
@@ -752,7 +727,7 @@ class TestOrchestrateCLI:
         run_dir = tmp_path / "run"
         assert main([
             "orchestrate", "--name", "access-modes", "--size", "24",
-            "--backend", "local", "--workers", "2", "--shards", "3",
+            "--workers", "2", "--shards", "3",
             "--cache-dir", str(tmp_path / "cache"),
             "--run-dir", str(run_dir),
             "--poll-interval", "0.1", "--timeout", "300",
@@ -766,21 +741,6 @@ class TestOrchestrateCLI:
         replay = run_sweep(spec, workers=1,
                            cache_dir=tmp_path / "cache")
         assert replay.fully_cached
-
-    def test_cli_slurm_script_only(self, tmp_path, capsys):
-        from repro.__main__ import main
-
-        run_dir = tmp_path / "run"
-        assert main([
-            "orchestrate", "--name", "access-modes", "--size", "24",
-            "--backend", "slurm", "--workers", "3",
-            "--cache-dir", str(tmp_path / "cache"),
-            "--run-dir", str(run_dir),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "sbatch" in out and "--resume" in out
-        script = (run_dir / "sbatch.sh").read_text()
-        assert "#SBATCH --array=0-2" in script
 
     def test_cli_reused_run_dir_is_a_clean_error(self, tmp_path):
         from repro.__main__ import main
@@ -811,3 +771,12 @@ class TestOrchestrateCLI:
 
         with pytest.raises(SystemExit, match="unknown sweep"):
             main(["orchestrate", "--name", "no-such-experiment"])
+
+    def test_cli_rejects_removed_backend_flag(self, capsys):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["orchestrate", "--name", "access-modes",
+                  "--backend", "ssh"])
+        assert excinfo.value.code == 2
+        assert "--backend" in capsys.readouterr().err
