@@ -95,13 +95,14 @@ class Cache(TargetPort):
         params = self.params
         line_size = params.line_size
         is_write = txn.is_write
-        self._accesses.inc()
 
         first_line = txn.addr // line_size
         num_lines = (txn.end_addr - 1) // line_size - first_line + 1
         hit_lines, runs = self.tags.lookup_range(first_line, num_lines, is_write)
-        self._hits.inc(hit_lines)
-        self._misses.inc(num_lines - hit_lines)
+        self._accesses.value += 1
+        self._hits.value += hit_lines
+        self._misses.value += num_lines - hit_lines
+        self.stats.dirty = True
 
         if self.functional_store is not None:
             self._functional_access(txn)
@@ -162,13 +163,15 @@ class Cache(TargetPort):
     def _fill_lines(self, run_start: int, run_len: int, dirty: bool) -> None:
         evicted, dirty_victims = self.tags.fill_range(run_start, run_len, dirty)
         if evicted:
-            self._evictions.inc(evicted)
-        if dirty_victims:
-            self._write_back(dirty_victims, f"{self.name}.wb")
+            self._evictions.value += evicted
+            self.stats.dirty = True
+            if dirty_victims:
+                self._write_back(dirty_victims, f"{self.name}.wb")
 
     def _write_back(self, lines: List[int], source: str) -> None:
         """Send one downstream writeback per dirty line (timing only)."""
-        self._writebacks.inc(len(lines))
+        self._writebacks.value += len(lines)
+        self.stats.dirty = True
         line_size = self.params.line_size
         for line in lines:
             wb = Transaction.write(line * line_size, line_size, source=source)
@@ -195,9 +198,10 @@ class Cache(TargetPort):
         count = (addr + size - 1) // line_size - first + 1
         dropped, dirty_lines = self.tags.invalidate_range(first, count)
         if dropped:
-            self._invalidations.inc(dropped)
-        if dirty_lines:
-            self._write_back(dirty_lines, f"{self.name}.snoopwb")
+            self._invalidations.value += dropped
+            self.stats.dirty = True
+            if dirty_lines:
+                self._write_back(dirty_lines, f"{self.name}.snoopwb")
         return dropped
 
     # ------------------------------------------------------------------

@@ -1,17 +1,26 @@
 """Replacement policies for set-associative tag stores.
 
 A policy tracks access order *per set* and nominates a victim way when the
-set is full.  LRU and FIFO are the same mechanism -- one integer stamp per
-way, victim = first way with the smallest stamp -- and differ only in
-*when* a way is restamped, which the ``stamp_on_touch``/``stamp_on_insert``
-flags declare.
+set is full.  LRU and FIFO are the same mechanism -- a per-set *victim
+order*, the set's way numbers oldest first, whose front way is the victim
+-- and differ only in *when* a way moves to the back, which the
+``stamp_on_touch``/``stamp_on_insert`` flags declare.
 
-The tag store asks :meth:`ReplacementPolicy.victim` for every eviction, so
-victim choice lives only here.  Stamping is the one rule the store applies
-itself: its range loops read the flags and bump ``stamp``/``stamps``
-inline, so replacement adds no Python call per line.  :meth:`touch` and
-:meth:`insert` are the per-way form of that rule, for driving a policy on
-its own.
+The order is the sorted form of a per-way stamp rule: stamp every
+touched way with a rising counter, start every way at stamp 0, and evict
+the first way with the smallest stamp.  A restamp gives a way the largest
+stamp, so it moves to the back; ways not stamped since the last reset tie
+at 0 and keep way order at the front; invalidating a line restamps
+nothing and so moves nothing.  The front way is therefore exactly the
+first smallest stamp, ties included, and no eviction scans the set.
+
+Orders are ``bytearray``s of way numbers, so a way number must fit in a
+byte: :data:`MAX_ASSOC` bounds the associativity.  The tag store reads
+the front of an order directly and applies the move-to-back rule inline
+in its range loops, so replacement adds no Python call per line.
+:meth:`touch`, :meth:`insert` and :meth:`victim` are the per-way form of
+the same rules, for driving a policy on its own; ``random`` keeps a
+:meth:`victim` call per eviction and its seeded RNG sequence.
 """
 
 from __future__ import annotations
@@ -19,25 +28,28 @@ from __future__ import annotations
 import random
 from typing import List, Optional
 
+#: Most ways a set may have: victim orders hold one way number per byte.
+MAX_ASSOC = 256
+
 
 class ReplacementPolicy:
     """Interface: track touches and choose victims within one set.
 
-    ``stamps`` is a flat per-way list (index ``set_index * assoc + way``)
-    for policies that order ways by stamp, else None; ``stamp`` is the
-    last stamp handed out.
+    ``orders`` holds one victim order per set (a ``bytearray`` of way
+    numbers, oldest first) for policies that order ways, else None;
+    ``reordered`` is True once any way has moved since the last reset.
     """
 
-    #: Restamp a way when a resident line is accessed (recency).
+    #: Move a way to the back when a resident line is accessed (recency).
     stamp_on_touch = False
-    #: Restamp a way when a line is filled into it (age).
+    #: Move a way to the back when a line is filled into it (age).
     stamp_on_insert = False
 
     def __init__(self, num_sets: int, assoc: int) -> None:
         self.num_sets = num_sets
         self.assoc = assoc
-        self.stamp = 0
-        self.stamps: Optional[List[int]] = None
+        self.orders: Optional[List[bytearray]] = None
+        self.reordered = False
 
     def touch(self, set_index: int, way: int) -> None:
         """Record an access to ``way`` of ``set_index``."""
@@ -50,8 +62,10 @@ class ReplacementPolicy:
             self._restamp(set_index, way)
 
     def _restamp(self, set_index: int, way: int) -> None:
-        self.stamp += 1
-        self.stamps[set_index * self.assoc + way] = self.stamp
+        order = self.orders[set_index]
+        order.remove(way)
+        order.append(way)
+        self.reordered = True
 
     def victim(self, set_index: int, occupied: List[int]) -> int:
         """Choose a way to evict from a full set.
@@ -65,33 +79,33 @@ class ReplacementPolicy:
         """Forget all recency/ordering state (back to construction)."""
 
 
-class _StampPolicy(ReplacementPolicy):
-    """Evict the first way holding the smallest stamp."""
+class _OrderPolicy(ReplacementPolicy):
+    """Evict the front way of the set's victim order."""
 
     def __init__(self, num_sets: int, assoc: int) -> None:
         super().__init__(num_sets, assoc)
-        self.stamps = [0] * (num_sets * assoc)
+        self._fresh = bytes(range(assoc))
+        self.orders = [bytearray(self._fresh) for _ in range(num_sets)]
 
     def victim(self, set_index: int, occupied: List[int]) -> int:
-        base = set_index * self.assoc
-        row = self.stamps[base : base + self.assoc]
-        return row.index(min(row))
+        return self.orders[set_index][0]
 
     def reset(self) -> None:
-        if self.stamp == 0:
+        if not self.reordered:
             return  # untouched since construction/reset
-        self.stamp = 0
-        self.stamps = [0] * len(self.stamps)
+        self.reordered = False
+        fresh = self._fresh
+        self.orders = [bytearray(fresh) for _ in range(self.num_sets)]
 
 
-class LRUPolicy(_StampPolicy):
+class LRUPolicy(_OrderPolicy):
     """Least-recently-used: evict the way touched longest ago."""
 
     stamp_on_touch = True
     stamp_on_insert = True
 
 
-class FIFOPolicy(_StampPolicy):
+class FIFOPolicy(_OrderPolicy):
     """First-in-first-out: evict the way filled longest ago."""
 
     stamp_on_insert = True

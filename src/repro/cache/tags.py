@@ -10,17 +10,29 @@ The store works on *runs* of consecutive lines: :meth:`TagStore.lookup_range`,
 their lines in one local loop, so a cache pays one Python call per
 transaction or miss run rather than one per line.  State lives in flat
 lists indexed by *slot* (``set_index * assoc + way``): the resident line
-and dirty bit of every way, plus the policy's stamps.  A free slot's
-dirty bit is stale and never read: every fill overwrites it.  The per-line
-methods (:meth:`access`, :meth:`fill`, :meth:`invalidate`) are one-line
-runs of the same operations.
+and dirty bit of every way.  A free slot's dirty bit is stale and never
+read: every fill overwrites it.
+
+Replacement state is the policy's per-set victim order
+(:mod:`repro.cache.replacement`).  The loops apply its rule inline: a
+hit (LRU) or a fill moves the way to the back with one ``remove`` and
+one ``append`` on the set's ``bytearray``, and a full set evicts the
+front way, read directly, so an eviction costs no scan of the set and
+no policy call.  Only ``random`` asks :meth:`ReplacementPolicy.victim`
+per eviction.  The per-line methods (:meth:`access`, :meth:`fill`,
+:meth:`invalidate`) are one-line runs of the same operations.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.cache.replacement import ReplacementPolicy, make_policy, policy_class
+from repro.cache.replacement import (
+    MAX_ASSOC,
+    ReplacementPolicy,
+    make_policy,
+    policy_class,
+)
 
 
 def check_geometry(size: int, assoc: int, line_size: int, policy: str) -> None:
@@ -29,6 +41,10 @@ def check_geometry(size: int, assoc: int, line_size: int, policy: str) -> None:
         raise ValueError(f"size: cache size must be positive, got {size}")
     if assoc <= 0:
         raise ValueError(f"assoc: associativity must be positive, got {assoc}")
+    if assoc > MAX_ASSOC:
+        raise ValueError(
+            f"assoc: associativity must be at most {MAX_ASSOC}, got {assoc}"
+        )
     if line_size <= 0 or line_size & (line_size - 1):
         raise ValueError(
             f"line_size: line size must be a power of two, got {line_size}"
@@ -87,8 +103,9 @@ class TagStore:
         """
         where = self._where
         policy = self.policy
-        stamps = policy.stamps if policy.stamp_on_touch else None
-        stamp = policy.stamp
+        orders = policy.orders if policy.stamp_on_touch else None
+        num_sets = self.num_sets
+        assoc = self.assoc
         dirty_bits = self._dirty
         hits = 0
         runs: List[Tuple[int, int]] = []
@@ -104,14 +121,17 @@ class TagStore:
                 runs.append((run_start, line - run_start))
                 run_start = None
             hits += 1
-            if stamps is not None:
-                stamp += 1
-                stamps[slot] = stamp
+            if orders is not None:
+                order = orders[line % num_sets]
+                way = slot % assoc
+                order.remove(way)
+                order.append(way)
             if dirty:
                 dirty_bits[slot] = True
         if run_start is not None:
             runs.append((run_start, stop - run_start))
-        policy.stamp = stamp
+        if hits and orders is not None:
+            policy.reordered = True
         return hits, runs
 
     def fill_range(
@@ -130,29 +150,33 @@ class TagStore:
         num_sets = self.num_sets
         assoc = self.assoc
         policy = self.policy
-        stamps = policy.stamps
+        orders = policy.orders
         touch = policy.stamp_on_touch
         insert = policy.stamp_on_insert
-        stamp = policy.stamp
         all_ways = self._all_ways
         evicted = 0
         dirty_victims: List[int] = []
         for line in range(first, first + count):
             slot = where.get(line)
+            set_index = line % num_sets
             if slot is not None:
                 if dirty:
                     dirty_bits[slot] = True
                 if touch:
-                    stamp += 1
-                    stamps[slot] = stamp
+                    order = orders[set_index]
+                    way = slot % assoc
+                    order.remove(way)
+                    order.append(way)
                 continue
-            set_index = line % num_sets
             base = set_index * assoc
             if occupancy[set_index] < assoc:
                 slot = lines.index(None, base, base + assoc)
                 occupancy[set_index] += 1
             else:
-                slot = base + policy.victim(set_index, all_ways)
+                if orders is not None:
+                    slot = base + orders[set_index][0]
+                else:
+                    slot = base + policy.victim(set_index, all_ways)
                 victim = lines[slot]
                 del where[victim]
                 evicted += 1
@@ -162,9 +186,12 @@ class TagStore:
             dirty_bits[slot] = dirty
             where[line] = slot
             if insert:
-                stamp += 1
-                stamps[slot] = stamp
-        policy.stamp = stamp
+                order = orders[set_index]
+                way = slot - base
+                order.remove(way)
+                order.append(way)
+        if orders is not None:
+            policy.reordered = True
         return evicted, dirty_victims
 
     def invalidate_range(self, first: int, count: int) -> Tuple[int, List[int]]:

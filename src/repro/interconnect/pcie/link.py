@@ -243,10 +243,11 @@ class PCIeChannel(SimObject):
         arrival = max(start + occupancy + pipeline_fill, self._last_arrival)
         self._last_arrival = arrival
 
-        self._tlps.inc(n_tlps)
-        self._payload_bytes.inc(max(0, payload_bytes))
-        self._wire_byte_stat.inc(wire_bytes)
-        self._busy_ticks.inc(occupancy)
+        self._tlps.value += n_tlps
+        self._payload_bytes.value += max(0, payload_bytes)
+        self._wire_byte_stat.value += wire_bytes
+        self._busy_ticks.value += occupancy
+        self.stats.dirty = True
         if self.trace is not None:
             self.trace.tlp_train(start, occupancy, n_tlps, payload_bytes)
         self.schedule_at(arrival, lambda: on_arrive(txn))

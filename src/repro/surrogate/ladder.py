@@ -18,7 +18,7 @@ would silently drop true winners.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.surrogate.model import SurrogateEstimate, estimate_spec

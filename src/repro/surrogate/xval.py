@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from repro.surrogate.model import SurrogateEstimate, estimate_spec
+from repro.surrogate.model import estimate_spec
 from repro.sweep.spec import SweepSpec
 
 

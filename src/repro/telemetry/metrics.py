@@ -21,7 +21,7 @@ exactly why runner records exclude it).
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.sim.eventq import PRIORITY_LATE
 

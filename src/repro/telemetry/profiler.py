@@ -24,7 +24,7 @@ never into result records or the cross-process telemetry summary.
 from __future__ import annotations
 
 import sys
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # imported lazily: this module loads on every sweep
     import cProfile

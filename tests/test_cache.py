@@ -50,6 +50,36 @@ class TestReplacementPolicies:
         policy.touch(0, 0)
         assert policy.victim(0, [0, 1, 2, 3]) == 0
 
+    @pytest.mark.parametrize("name", ["lru", "fifo"])
+    def test_fresh_and_reset_sets_evict_way_zero(self, name):
+        policy = make_policy(name, num_sets=2, assoc=4)
+        assert policy.victim(1, [0, 1, 2, 3]) == 0
+        for way in (2, 0, 1, 3):
+            policy.insert(1, way)
+        assert policy.victim(1, [0, 1, 2, 3]) == 2
+        policy.reset()
+        assert policy.victim(1, [0, 1, 2, 3]) == 0
+
+    @pytest.mark.parametrize("name", ["lru", "fifo"])
+    def test_unstamped_ways_are_evicted_lowest_first(self, name):
+        policy = make_policy(name, num_sets=1, assoc=4)
+        policy.insert(0, 1)
+        policy.insert(0, 3)
+        victims = []
+        for _ in range(4):
+            victims.append(policy.victim(0, [0, 1, 2, 3]))
+            policy.insert(0, victims[-1])
+        assert victims == [0, 2, 1, 3]
+
+    @pytest.mark.parametrize("name", ["lru", "fifo"])
+    def test_refilled_way_becomes_newest(self, name):
+        tags = TagStore(size=256, assoc=4, line_size=64, policy=name)  # 1 set
+        tags.fill_range(0, 4)  # ways 0..3 in fill order
+        assert tags.invalidate(1) is False  # frees way 1, moves nothing
+        assert tags.fill(4) is None  # refills way 1 as the newest
+        victims = [tags.fill(line)[0] for line in range(5, 9)]
+        assert victims == [0, 2, 3, 4]
+
     def test_random_is_seeded(self):
         a = make_policy("random", 1, 8)
         b = make_policy("random", 1, 8)

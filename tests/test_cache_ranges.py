@@ -18,8 +18,11 @@ from repro.cache import CacheParams, TagStore
 
 POLICIES = ["lru", "fifo", "random"]
 # (size, assoc, line_size): 2-way/2 sets, 4-way/4 sets, direct-mapped,
-# 8-way with 32-byte lines.
-GEOMETRIES = [(256, 2, 64), (1024, 4, 64), (512, 1, 64), (2048, 8, 32)]
+# 8-way with 32-byte lines, one 16-way set (the LLC's associativity,
+# still full within MAX_LINE lines), and 3-way/2 sets (an associativity
+# that is not a power of two).
+GEOMETRIES = [(256, 2, 64), (1024, 4, 64), (512, 1, 64), (2048, 8, 32),
+              (1024, 16, 64), (384, 3, 64)]
 # Few distinct lines and short runs, so sets fill, hit and evict often.
 MAX_LINE = 24
 MAX_RUN = 8
@@ -224,11 +227,19 @@ class TestGeometryValidation:
         ("size", {"size": 1000}),
         ("size", {"size": 0}),
         ("assoc", {"assoc": 0}),
+        ("assoc", {"assoc": 257, "size": 257 * 64}),
     ])
     def test_cache_params_name_the_bad_field(self, field, overrides):
         params = {"size": 4096, "assoc": 4, **overrides}
         with pytest.raises(ValueError, match=rf"^{field}:"):
             CacheParams(**params)
+
+    def test_widest_set_evicts_in_fill_order(self):
+        tags = TagStore(size=256 * 64, assoc=256, line_size=64)  # one set
+        tags.fill_range(0, 256)
+        evicted, _ = tags.fill_range(256, 2)
+        assert evicted == 2
+        assert not tags.probe(0) and not tags.probe(1) and tags.probe(2)
 
     def test_tag_store_shares_the_check(self):
         with pytest.raises(ValueError, match=r"^policy:"):

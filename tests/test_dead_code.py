@@ -10,6 +10,11 @@ interpreter calls them), and so are definitions under a registering
 decorator such as ``@register_sweep`` -- registration is the use.
 Descriptor and memo decorators (``@property``, ``@classmethod``, ...)
 register nothing, so they exempt nothing.
+
+A second scan fails on a module-level import that its module never
+uses.  It is per module and exact (the ``ast`` names the module loads,
+plus names inside quoted annotations and ``__all__`` strings), and a
+package ``__init__.py`` is exempt: importing there is re-exporting.
 """
 
 import ast
@@ -81,4 +86,60 @@ def test_every_definition_is_referenced():
     assert not dead, (
         "defined but never referenced (delete them, or reference them "
         "from a test or doc):\n  " + "\n  ".join(dead)
+    )
+
+
+def _imported_names(tree: ast.Module):
+    """``(name, line)`` bound by each import at module level.
+
+    Imports nested in a top-level ``if``/``try`` (``TYPE_CHECKING``
+    guards, optional dependencies) are module level too.
+    """
+    pending = list(tree.body)
+    while pending:
+        node = pending.pop(0)
+        if isinstance(node, (ast.If, ast.Try)):
+            pending.extend(ast.iter_child_nodes(node))
+        elif isinstance(node, ast.ExceptHandler):
+            pending.extend(node.body)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def _used_names(tree: ast.Module) -> set:
+    """Every name the module loads, including inside quoted annotations
+    and ``__all__`` entries (string constants that parse as expressions)."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                expr = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            used.update(n.id for n in ast.walk(expr)
+                        if isinstance(n, ast.Name))
+    return used
+
+
+def test_every_module_level_import_is_used():
+    # A package ``__init__.py`` imports to re-export, so it is exempt.
+    unused = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        used = _used_names(tree)
+        unused.extend(
+            f"{path.relative_to(ROOT)}:{line} {name}"
+            for name, line in _imported_names(tree) if name not in used
+        )
+    assert not unused, (
+        "imported at module level but never used (delete the import):\n  "
+        + "\n  ".join(unused)
     )
